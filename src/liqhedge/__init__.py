@@ -14,7 +14,6 @@ from .model import (
     ExecutionCost,
     OptionContract,
     PayoffSpec,
-    exec_cost,
     hamiltonian,
     optimal_rate,
     liquidation_penalty,
@@ -33,7 +32,6 @@ from .simulate import (
     run_delta_hedge,
     run_policy_hedge,
     simulate_price_paths,
-    twap_fill,
     wealth_decomposition_check,
 )
 from .fixtures import reference_path
@@ -45,7 +43,6 @@ __all__ = [
     "ExecutionCost",
     "OptionContract",
     "PayoffSpec",
-    "exec_cost",
     "hamiltonian",
     "optimal_rate",
     "liquidation_penalty",
@@ -71,7 +68,6 @@ __all__ = [
     "run_delta_hedge",
     "run_policy_hedge",
     "simulate_price_paths",
-    "twap_fill",
     "wealth_decomposition_check",
     "reference_path",
 ]

@@ -38,11 +38,23 @@ from .simulate import (
     run_delta_hedge,
     run_policy_hedge,
 )
-from .tree import TreeConfig, price_with_initial_exchange, solve_tree
+from .tree import TreeConfig, n_steps, price_with_initial_exchange, solve_tree
 
 DAYS_PER_YEAR = 252.0
 
-SWEEP_PARAMS = ("eta", "gamma", "q0", "rho_max", "r", "mu", "k", "settlement")
+# sweep parameter -> (payoff part, field, divisor from file units to model
+# units; None leaves the value as given)
+_SWEEP_FIELDS = {
+    "eta": ("cost", "eta", None),
+    "gamma": ("contract", "gamma", None),
+    "q0": ("contract", "q0", None),
+    "rho_max": ("market", "rho_max", None),
+    "r": ("market", "r", DAYS_PER_YEAR),
+    "mu": ("market", "mu", DAYS_PER_YEAR),
+    "k": ("market", "k", None),
+    "settlement": ("contract", "settlement", None),
+}
+SWEEP_PARAMS = tuple(_SWEEP_FIELDS)
 
 
 class ConfigError(Exception):
@@ -195,24 +207,28 @@ def load_config(path: str, engine_override=None, seed_override=None) -> RunConfi
                                     n_S=int(pde_sec.get("n_S", 241)),
                                     n_q=int(pde_sec.get("n_q", 121)),
                                     steps_per_day=int(pde_sec.get("steps_per_day", 4)))
+        if engine == "tree":
+            n_steps(contract.T, tree_config.dt)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"solver: {e}")
 
     sim_sec = raw.get("simulation", {})
     _reject_unknown("simulation", sim_sec, _SECTIONS["simulation"])
-    M_raw = sim_sec.get("M", [10, 20, 40, 80, 160])
-    M_list = [int(m) for m in (M_raw if isinstance(M_raw, list) else [M_raw])]
-    strategies = list(sim_sec.get("strategies", ["delta", "policy"]))
-    for s in strategies:
-        if s not in ("delta", "policy"):
-            raise ConfigError(f"simulation: unknown strategy '{s}'")
-    seed = seed_override if seed_override is not None else int(sim_sec.get("seed", 0))
     try:
+        M_raw = sim_sec.get("M", [10, 20, 40, 80, 160])
+        M_list = [int(m) for m in (M_raw if isinstance(M_raw, list) else [M_raw])]
+        strategies = list(sim_sec.get("strategies", ["delta", "policy"]))
+        seed = seed_override if seed_override is not None else int(sim_sec.get("seed", 0))
         sim = PathConfig(n_paths=int(sim_sec.get("n_paths", 10_000)),
                          n_obs=int(sim_sec.get("n_obs", 253)),
                          seed=seed)
-    except ValueError as e:
+        for M in M_list:
+            dataclasses.replace(sim, M=M)  # validates each rebalance count
+    except (ValueError, TypeError) as e:
         raise ConfigError(f"simulation: {e}")
+    for s in strategies:
+        if s not in ("delta", "policy"):
+            raise ConfigError(f"simulation: unknown strategy '{s}'")
 
     return RunConfig(payoff, engine, tree_config, grid, scheme, sim,
                      M_list, strategies, raw)
@@ -241,7 +257,7 @@ def _solve(cfg: RunConfig):
     if not math.isfinite(price):
         raise NumericalError("solver produced a non-finite price")
     if cfg.engine == "tree":
-        diag = {"levels": int(c.T / cfg.tree_config.dt),
+        diag = {"levels": n_steps(c.T, cfg.tree_config.dt),
                 "dt": cfg.tree_config.dt}
     else:
         g = cfg.grid
@@ -301,12 +317,14 @@ def _load_path_file(path: Optional[str]):
                      if ln and not ln.startswith("#")]
     except OSError as e:
         raise ConfigError(f"cannot read path file: {e}")
-    header = [h.strip() for h in lines[0].split(",")]
-    if header[:2] != ["t", "S"]:
+    if not lines or [h.strip() for h in lines[0].split(",")][:2] != ["t", "S"]:
         raise ConfigError("path file must have columns t,S")
-    arr = np.asarray([ln.split(",")[:2] for ln in lines[1:]], dtype=float)
-    if arr.shape[0] < 2:
-        raise ConfigError("path file needs at least two rows")
+    try:
+        arr = np.asarray([ln.split(",")[:2] for ln in lines[1:]], dtype=float)
+    except ValueError as e:
+        raise ConfigError(f"path file: {e}")
+    if arr.shape[1:] != (2,) or len(arr) < 2 or not np.isfinite(arr).all():
+        raise ConfigError("path file needs at least two rows of finite t,S")
     return arr[:, 0], arr[:, 1]
 
 
@@ -321,7 +339,7 @@ def cmd_hedge(cfg: RunConfig, args) -> str:
     c, m = pay.contract, pay.market
     t, S = _load_path_file(args.path)
     steps = len(S) - 1
-    expected = (int(c.T / cfg.tree_config.dt) if cfg.engine == "tree"
+    expected = (n_steps(c.T, cfg.tree_config.dt) if cfg.engine == "tree"
                 else cfg.grid.n_t)
     if steps != expected:
         raise ConfigError(f"path has {steps} steps but the {cfg.engine} "
@@ -400,25 +418,11 @@ def _sweep_values(text: str, param: str):
 
 
 def _with_param(pay: PayoffSpec, param: str, value):
-    c, m, cost = pay.contract, pay.market, pay.cost
+    part, field, per = _SWEEP_FIELDS[param]
+    new = value if per is None else value / per
     try:
-        if param == "eta":
-            cost = dataclasses.replace(cost, eta=value)
-        elif param == "gamma":
-            c = dataclasses.replace(c, gamma=value)
-        elif param == "q0":
-            c = dataclasses.replace(c, q0=value)
-        elif param == "rho_max":
-            m = dataclasses.replace(m, rho_max=value)
-        elif param == "r":
-            m = dataclasses.replace(m, r=value / DAYS_PER_YEAR)
-        elif param == "mu":
-            m = dataclasses.replace(m, mu=value / DAYS_PER_YEAR)
-        elif param == "k":
-            m = dataclasses.replace(m, k=value)
-        elif param == "settlement":
-            c = dataclasses.replace(c, settlement=value)
-        return PayoffSpec(c, m, cost, penalty_rate=None)
+        changed = dataclasses.replace(getattr(pay, part), **{field: new})
+        return dataclasses.replace(pay, **{part: changed}, penalty_rate=None)
     except ValueError as e:
         raise ConfigError(f"sweep value {value!r}: {e}")
 

@@ -16,6 +16,7 @@ Prices, costs and penalties are in currency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
@@ -28,7 +29,6 @@ __all__ = [
     "ExecutionCost",
     "OptionContract",
     "PayoffSpec",
-    "exec_cost",
     "hamiltonian",
     "optimal_rate",
     "liquidation_penalty",
@@ -103,6 +103,12 @@ class VolumeCurve:
         return f"VolumeCurve({self.starts.tolist()!r}, {self.values.tolist()!r})"
 
 
+def _require_finite(obj, *names):
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 def _as_volume(volume) -> VolumeCurve:
     if isinstance(volume, VolumeCurve):
         return volume
@@ -139,6 +145,7 @@ class MarketParams:
 
     def __post_init__(self):
         object.__setattr__(self, "volume", _as_volume(self.volume))
+        _require_finite(self, "S0", "sigma", "rho_max", "mu", "r", "k")
         if not (self.sigma > 0):
             raise ValueError("sigma must be > 0")
         if self.rho_max < 0:
@@ -165,6 +172,7 @@ class ExecutionCost:
     psi: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "eta", "phi", "psi")
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
         if not (self.phi > 0):
@@ -195,6 +203,7 @@ class OptionContract:
     settlement: str = "physical"
 
     def __post_init__(self):
+        _require_finite(self, "K", "T", "N", "gamma", "q0")
         if not (self.T > 0):
             raise ValueError("T must be > 0")
         if self.N < 0:
@@ -212,11 +221,6 @@ class OptionContract:
 # ---------------------------------------------------------------------------
 # execution cost transform
 # ---------------------------------------------------------------------------
-
-
-def exec_cost(cost: ExecutionCost, rho):
-    """Cost rate L(rho) per unit market volume."""
-    return cost(rho)
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10):

@@ -18,7 +18,9 @@ into three fractional substeps:
 (C) the trading term, semi-Lagrangian: new theta(q) = min over a discrete
     participation-rate set of [V*L(rho)*dt + theta(q + rho*V*dt)] with linear
     interpolation in q; displacements leaving the grid are excluded. The
-    minimizer is stored as the policy v = rho*V.
+    node-aligned rates (whole grid steps) go through `minplus.shift_min`,
+    the kernel the tree uses too. The minimizer is stored as the policy
+    v = rho*V.
 
 The first step after the terminal condition always runs (A) first, which
 smooths the payoff discontinuity before the nonlinear substeps see it.
@@ -34,10 +36,11 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .minplus import shift_min
 from .model import optimal_rate
 
 __all__ = ["GridSpec", "SchemeConfig", "ThetaSurface", "solve_theta",
-           "price_at", "policy_at", "export_surface_csv"]
+           "export_surface_csv"]
 
 
 @dataclass(frozen=True)
@@ -156,14 +159,6 @@ class ThetaSurface:
         return self._bilinear(self.control[self.level_of(t)], q, S)
 
 
-def price_at(surface: ThetaSurface, t: float, q, S):
-    return surface.price(t, q, S)
-
-
-def policy_at(surface: ThetaSurface, t: float, q, S):
-    return surface.policy(t, q, S)
-
-
 def _build_banded_A(grid: GridSpec, market, dt: float) -> np.ndarray:
     """Banded (ab) matrix for the implicit linear substep along S."""
     nS = grid.n_S
@@ -231,30 +226,18 @@ def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
     """Semi-Lagrangian trading substep; returns (new theta, control v)."""
     nq = theta.shape[0]
     dq = qgrid[1] - qgrid[0] if nq > 1 else 0.0
-    best = theta.copy()          # rho = 0 candidate: zero cost, zero shift
-    vstar = np.zeros_like(theta)
     if rho_max <= 0 or V <= 0 or nq < 2:
-        return best, vstar
+        return theta.copy(), np.zeros_like(theta)
 
     # node-aligned candidates: every destination reachable within the
     # participation cap, exact (no interpolation); without these the min
     # cannot park inventory on the value kink at q = 0 from every node and
     # the surface loses discrete convexity in q
     m_cap = min(math.floor(rho_max * V * dt / dq + 1e-9), nq - 1)
-    for m in range(1, m_cap + 1):
-        for w in (-m, m):
-            rho = w * dq / (V * dt)
-            run_cost = V * cost(rho) * dt
-            lo, hi = max(0, -w), nq - max(0, w)
-            if hi <= lo:
-                continue
-            cand = run_cost + theta[lo + w: hi + w]
-            cur = best[lo:hi]
-            mask = cand < cur
-            if mask.any():
-                cur[mask] = cand[mask]
-                vs = vstar[lo:hi]
-                vs[mask] = rho * V
+    costs = [V * cost(w * dq / (V * dt)) * dt for w in range(1, m_cap + 1)]
+    best, shift = shift_min(theta, costs)
+    speeds = np.arange(-m_cap, m_cap + 1) * dq / (V * dt) * V
+    vstar = speeds[shift + m_cap]
 
     grid_rhos = np.linspace(-rho_max, rho_max, scheme.n_controls)
     order = np.lexsort((grid_rhos > 0, np.abs(grid_rhos)))  # |rho| asc, neg first

@@ -25,7 +25,6 @@ __all__ = [
     "PathConfig",
     "PnLStats",
     "simulate_price_paths",
-    "twap_fill",
     "run_delta_hedge",
     "run_policy_hedge",
     "policy_trajectory",
@@ -48,6 +47,8 @@ class PathConfig:
     def __post_init__(self):
         if self.n_paths < 1 or self.n_obs < 2:
             raise ValueError("need n_paths >= 1 and n_obs >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.M is not None and self.M < 2:
             raise ValueError("M must be >= 2")
 
@@ -93,13 +94,6 @@ def simulate_price_paths(market, cfg: PathConfig, T: float,
               out=S[:, 1:])
     S[:, 1:] += market.S0
     return S
-
-
-def twap_fill(S_i, S_ip1, sigma: float, delta_t: float, rng) -> np.ndarray:
-    """Draw the interval's TWAP price given its two endpoint prices."""
-    mean = 0.5 * (np.asarray(S_i) + np.asarray(S_ip1))
-    sd = sigma * math.sqrt(delta_t / 12.0)
-    return mean + sd * rng.standard_normal(np.shape(mean))
 
 
 def _twap_matrix(S: np.ndarray, sigma: float, dt: float, seed: int) -> np.ndarray:

@@ -11,9 +11,10 @@ step dq and trades move it by whole grid steps, so the Bellman recursion
             + theta_{j+1}(q+v*dt, S_{j+1})))]
 
 reduces per level to one log-sum-exp over the three branches followed by a
-min-plus sweep over integer inventory shifts. Expectations use max-subtracted
-log-sum-exp; candidate trades that leave the inventory grid are excluded;
-ties prefer the smallest |v|, then the negative sign.
+min-plus sweep over integer inventory shifts (`minplus.shift_min`, shared
+with the PDE trading substep). Expectations use max-subtracted log-sum-exp;
+candidate trades that leave the inventory grid are excluded; ties prefer the
+smallest |v|, then the negative sign.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .minplus import shift_min
 
 __all__ = ["TreeConfig", "TreeValue", "solve_tree", "tree_policy",
            "price_with_initial_exchange", "dump_tree_csv"]
@@ -50,7 +53,7 @@ class TreeConfig:
     def __post_init__(self):
         if not (self.dt > 0):
             raise ValueError("dt must be > 0")
-        if self.alpha < 1.0:
+        if not (self.alpha >= 1.0):
             raise ValueError("alpha must be >= 1 (branch probabilities in [0,1])")
         if self.dq is not None and not (self.dq > 0):
             raise ValueError("dq must be > 0")
@@ -128,6 +131,14 @@ def _default_qgrid(payoff, config: TreeConfig):
     return lo + dq * np.arange(n + 1), dq
 
 
+def n_steps(T: float, dt: float) -> int:
+    """Number of tree steps J = T/dt; raises unless dt divides T."""
+    J = round(T / dt)
+    if abs(J * dt - T) > 1e-9 or J < 1:
+        raise ValueError("dt must divide T")
+    return J
+
+
 def solve_tree(payoff, config: TreeConfig = TreeConfig()):
     """Run the backward induction; returns a TreeValue.
 
@@ -139,9 +150,7 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig()):
     if m.k != 0.0:
         raise ValueError("tree engine needs k = 0; use the impact transform")
     dt, alpha = config.dt, config.alpha
-    J = round(c.T / dt)
-    if abs(J * dt - c.T) > 1e-9 or J < 1:
-        raise ValueError("dt must divide T")
+    J = n_steps(c.T, dt)
 
     qgrid, dq = _default_qgrid(payoff, config)
     nq = qgrid.size
@@ -192,27 +201,12 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig()):
             + p_edge * np.exp(z_dn - zmax)
         )
 
-        # min-plus sweep over integer inventory shifts; ties keep the
-        # earliest candidate: 0, -1, +1, -2, +2, ...
+        # min-plus sweep over whole-step inventory shifts
         m_cap = int(math.floor(m.rho_max * V * dt / dq + 1e-9)) if (dq > 0 and V > 0) else 0
         m_cap = min(m_cap, nq - 1)
-        best = lse.copy()
-        bmult = np.zeros(lse.shape, dtype=np.int16)
-        for mm in range(1, m_cap + 1):
-            cost = g * V * dt * payoff.cost(mm * dq / (dt * V))
-            for sgn in (-1, 1):
-                sh = sgn * mm
-                if sh > 0:
-                    cand = lse[:, sh:] + cost
-                    tgt = np.s_[:, : nq - sh]
-                else:
-                    cand = lse[:, : nq + sh] + cost
-                    tgt = np.s_[:, -sh:]
-                cur = best[tgt]
-                mask = cand < cur
-                if mask.any():
-                    cur[mask] = cand[mask]
-                    bmult[tgt][mask] = sh
+        costs = [g * V * dt * payoff.cost(mm * dq / (dt * V)) for mm in range(1, m_cap + 1)]
+        best, bmult = shift_min(lse.T, costs)
+        best, bmult = best.T, bmult.T
         if growth != 0.0:
             S_nodes = m.S0 + drift * j + step * np.arange(-j, j + 1)
             best = best + g * growth * (qgrid[None, :] * S_nodes[:, None])

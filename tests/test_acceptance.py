@@ -28,8 +28,8 @@ from liqhedge.simulate import (
     policy_trajectory,
     run_delta_hedge,
     run_policy_hedge,
-    twap_fill,
     wealth_decomposition_check,
+    _twap_matrix,
 )
 from liqhedge.tree import TreeConfig, price_with_initial_exchange, solve_tree
 
@@ -291,8 +291,9 @@ def test_policy_mean_cost_near_delta_hedge(mc_results):
 def test_twap_law_moments():
     n = 1_000_000
     sigma, dt = 0.6, 0.25
-    rng = np.random.default_rng(7)
-    fills = twap_fill(np.full(n, 44.2), np.full(n, 45.1), sigma, dt, rng)
+    # one path, so one generator draws all n fills
+    S = np.where(np.arange(n + 1) % 2 == 0, 44.2, 45.1)[None, :]
+    fills = _twap_matrix(S, sigma, dt, seed=7)
     mean, var = 0.5 * (44.2 + 45.1), sigma**2 * dt / 12.0
     assert abs(np.mean(fills) - mean) < 4 * math.sqrt(var / n)
     assert abs(np.var(fills, ddof=1) - var) < 4 * var * math.sqrt(2.0 / (n - 1))

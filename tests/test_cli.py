@@ -108,6 +108,27 @@ def test_invalid_field_value_reports_config_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("simulate", "simulation", "M", ["x"]),
+    ("simulate", "simulation", "M", [1]),
+    ("simulate", "simulation", "seed", -1),
+    ("price", "market", "S0", float("nan")),
+    ("price", "market", "rho_max", float("nan")),
+    ("price", "cost", "eta", float("nan")),
+    ("price", "cost", "psi", float("nan")),
+    ("price", "contract", "gamma", float("inf")),
+    ("price", "solver", "tree", {"dt": 0.4}),  # does not divide T = 63
+])
+def test_bad_values_exit_with_config_error(tmp_path, capsys, command,
+                                           section, key, value):
+    cfg = reference_dict(solver={"engine": "tree"},
+                         simulation={"n_paths": 20, "M": [10]})
+    cfg[section][key] = value
+    code = main([command, "--config", write(tmp_path, cfg)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_config_hash_ignores_formatting(tmp_path):
     cfg = reference_dict()
     a = load_config(write(tmp_path, cfg, "a.json"))
@@ -147,6 +168,39 @@ def test_hedge_path_resolution_mismatch(tmp_path, capsys):
     path = write(tmp_path, reference_dict())
     code, _ = run(capsys, "hedge", "--config", path, "--path", str(short))
     assert code == 2
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "t,S\n",
+    "t,S\n0,45\nx,45\n",
+    "t,S\n0\n1\n",
+    "t,S\n0,45\n1,nan\n",
+])
+def test_hedge_bad_path_file_is_config_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    path = write(tmp_path, reference_dict())
+    code = main(["hedge", "--config", path, "--path", str(bad)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_tree_step_count_is_shared(tmp_path, capsys):
+    # 0.3 / 0.1 is 2.9999999999999996: truncating it would give 2 steps
+    cfg = reference_dict(solver={"engine": "tree", "tree": {"dt": 0.1}})
+    cfg["contract"]["T"] = 0.3
+    path = write(tmp_path, cfg)
+    code, out = run(capsys, "price", "--config", path)
+    assert code == 0
+    assert json.loads(out)["grid"]["levels"] == 3
+
+    four = tmp_path / "four.csv"
+    four.write_text("t,S\n" + "\n".join(
+        f"{i * 0.1},45.0" for i in range(4)) + "\n")
+    code, out = run(capsys, "hedge", "--config", path, "--path", str(four))
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 4 + 1  # header, rows, meta
 
 
 def test_hedge_hull_exit_is_numerical_failure(tmp_path, capsys):

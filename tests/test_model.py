@@ -289,6 +289,29 @@ def test_contract_validation():
     OptionContract(K=45, T=63, N=0.0, gamma=2e-7)  # degenerate no-option
 
 
+GOOD_PARAMS = {
+    MarketParams: dict(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0),
+    ExecutionCost: dict(eta=0.1, phi=0.75, psi=0.0),
+    OptionContract: dict(K=45.0, T=63.0, N=2e7, gamma=2e-7, q0=1e7),
+}
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (MarketParams, "S0", np.nan),
+    (MarketParams, "rho_max", np.nan),
+    (MarketParams, "sigma", np.inf),
+    (MarketParams, "k", np.nan),
+    (ExecutionCost, "eta", np.nan),
+    (ExecutionCost, "psi", np.nan),
+    (OptionContract, "K", np.nan),
+    (OptionContract, "gamma", np.inf),
+])
+def test_parameters_reject_nan_and_inf(cls, field, value):
+    cls(**GOOD_PARAMS[cls])  # the unmodified set is valid
+    with pytest.raises(ValueError, match=field):
+        cls(**{**GOOD_PARAMS[cls], field: value})
+
+
 def test_volume_curve():
     v = VolumeCurve([0.0, 10.0, 20.0], [4e6, 0.0, 2e6])
     assert v.at(5.0) == 4e6

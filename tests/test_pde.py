@@ -26,8 +26,6 @@ from liqhedge.pde import (
     GridSpec,
     SchemeConfig,
     export_surface_csv,
-    policy_at,
-    price_at,
     solve_theta,
 )
 
@@ -110,9 +108,9 @@ def test_policy_units_and_sign(reference_surface):
     v = surf.control[0]
     assert np.abs(v).max() <= cap + 1e-6
     # deep in the money with no stock held: the hedge buys
-    assert policy_at(surf, 0.0, 0.0, 48.0) > 0
+    assert surf.policy(0.0, 0.0, 48.0) > 0
     # deep out of the money holding the full nominal: the hedge sells
-    assert policy_at(surf, 0.0, 2e7, 42.0) < 0
+    assert surf.policy(0.0, 2e7, 42.0) < 0
 
 
 def test_policy_matches_marginal_value(reference_surface):
@@ -170,7 +168,7 @@ def test_surface_queries(reference_surface):
         surf.price(0.13, 1e7, 45.0)  # off the time grid
     with pytest.raises(ValueError):
         surf.price(0.0, 1e7, surf.grid.S_max + 1.0)
-    assert price_at(surf, 0.0, 1e7, 45.0) == v
+    assert surf.price(0.0, 1e7, 45.0) == v
 
 
 def test_terminal_level_matches_payoff(reference_surface):

@@ -22,8 +22,8 @@ from liqhedge.simulate import (
     run_delta_hedge,
     run_policy_hedge,
     simulate_price_paths,
-    twap_fill,
     wealth_decomposition_check,
+    _twap_matrix,
 )
 from liqhedge.tree import TreeConfig, solve_tree
 
@@ -79,11 +79,15 @@ def test_price_paths_counter_seeding():
 # TWAP fills
 
 
+def alternating_path(a, b, n):
+    """One path whose n intervals all run between a and b."""
+    return np.where(np.arange(n + 1) % 2 == 0, a, b)[None, :]
+
+
 def test_twap_fill_law():
     n = 1_000_000
     sigma, dt = 0.6, 0.25
-    rng = np.random.default_rng(42)
-    fills = twap_fill(np.full(n, 45.0), np.full(n, 46.0), sigma, dt, rng)
+    fills = _twap_matrix(alternating_path(45.0, 46.0, n), sigma, dt, seed=42)
     mean, var = 45.5, sigma**2 * dt / 12.0
     se_mean = math.sqrt(var / n)
     se_var = var * math.sqrt(2.0 / (n - 1))
@@ -92,8 +96,7 @@ def test_twap_fill_law():
 
 
 def test_twap_fill_zero_length_interval_is_midpoint():
-    rng = np.random.default_rng(0)
-    assert twap_fill(45.0, 46.0, 0.6, 0.0, rng) == 45.5
+    assert _twap_matrix(np.array([[45.0, 46.0]]), 0.6, 0.0, seed=0) == 45.5
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,19 @@ def test_time_varying_volume_brackets_constants():
     assert hi <= mixed <= lo
 
 
+def test_zero_volume_segment_freezes_trading():
+    # no volume on [4, 6): the levels there cannot trade, the others can
+    curve = VolumeCurve([0.0, 4.0, 6.0], [4e6, 0.0, 4e6])
+    tv = solve_tree(reference_payoff(T=8.0, volume=curve), TreeConfig(dt=0.5))
+    dead = [j for j in range(tv.J) if curve.at((j + 1) * 0.5) == 0.0]
+    assert dead and len(dead) < tv.J
+    for j in range(tv.J):
+        assert np.all(np.isfinite(tv.theta[j]))
+        if j in dead:
+            assert np.all(tv.control_mult[j] == 0)
+    assert any(np.any(tv.control_mult[j] != 0) for j in range(tv.J) if j not in dead)
+
+
 def test_node_geometry(reference_tree):
     tv = reference_tree
     for j in (0, 5, tv.J):
