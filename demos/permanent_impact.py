@@ -2,9 +2,9 @@
 
 With linear permanent impact (coefficient k, price moves by k per share of
 net inventory change), the problem transforms into an equivalent
-impact-free one: the payoff picks up a quadratic inventory adjustment and
-the price is quoted off the shifted initial price. `solve_with_impact`
-wraps that transform around either engine.
+impact-free one in the shifted price: the payoff picks up a quadratic
+inventory adjustment, which `PayoffSpec.terminal` carries for every k.
+`solve_with_impact` runs either engine on it and reads the price at S0.
 
 Impact makes hedging self-defeating (buying pushes the price up against
 you), so the indifference price rises with k.

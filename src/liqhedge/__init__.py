@@ -24,7 +24,7 @@ from .model import (
 )
 from .pde import GridSpec, SchemeConfig, ThetaSurface, solve_theta
 from .tree import TreeConfig, TreeValue, price_with_initial_exchange, solve_tree, tree_policy
-from .impact import ImpactedPayoff, ImpactSolution, solve_with_impact
+from .impact import ImpactSolution, solve_with_impact
 from .simulate import (
     PathConfig,
     PnLStats,
@@ -59,7 +59,6 @@ __all__ = [
     "price_with_initial_exchange",
     "solve_tree",
     "tree_policy",
-    "ImpactedPayoff",
     "ImpactSolution",
     "solve_with_impact",
     "PathConfig",

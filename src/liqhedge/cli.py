@@ -31,14 +31,14 @@ from .model import (
     VolumeCurve,
     bachelier_delta,
 )
-from .pde import GridSpec, SchemeConfig, solve_theta
+from .pde import GridSpec, SchemeConfig
 from .simulate import (
     PathConfig,
     policy_trajectory,
     run_delta_hedge,
     run_policy_hedge,
 )
-from .tree import TreeConfig, n_steps, price_with_initial_exchange, solve_tree
+from .tree import TreeConfig, n_steps
 
 DAYS_PER_YEAR = 252.0
 
@@ -170,7 +170,7 @@ def load_config(path: str, engine_override=None, seed_override=None) -> RunConfi
         payoff = PayoffSpec(contract, market, cost,
                             penalty_rate=None if penalty_rate is None
                             else float(penalty_rate))
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
         raise ConfigError(str(e))
 
     solver = raw.get("solver", {})
@@ -197,7 +197,7 @@ def load_config(path: str, engine_override=None, seed_override=None) -> RunConfi
             cfl_safety=float(pde_sec.get("cfl_safety", 0.9)),
         )
         if {"S_min", "S_max", "q_min", "q_max"} <= set(pde_sec):
-            n_t = int(round(pde_sec.get("steps_per_day", 4) * contract.T))
+            n_t = max(1, round(pde_sec.get("steps_per_day", 4) * contract.T))
             grid = GridSpec(float(pde_sec["S_min"]), float(pde_sec["S_max"]),
                             int(pde_sec.get("n_S", 241)),
                             float(pde_sec["q_min"]), float(pde_sec["q_max"]),
@@ -209,7 +209,7 @@ def load_config(path: str, engine_override=None, seed_override=None) -> RunConfi
                                     steps_per_day=int(pde_sec.get("steps_per_day", 4)))
         if engine == "tree":
             n_steps(contract.T, tree_config.dt)
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
         raise ConfigError(f"solver: {e}")
 
     sim_sec = raw.get("simulation", {})
@@ -224,7 +224,7 @@ def load_config(path: str, engine_override=None, seed_override=None) -> RunConfi
                          seed=seed)
         for M in M_list:
             dataclasses.replace(sim, M=M)  # validates each rebalance count
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
         raise ConfigError(f"simulation: {e}")
     for s in strategies:
         if s not in ("delta", "policy"):
@@ -239,31 +239,29 @@ def load_config(path: str, engine_override=None, seed_override=None) -> RunConfi
 
 
 def _solve(cfg: RunConfig):
-    """Solve the pricing problem; returns (price_total, solution, diagnostics)."""
-    pay = cfg.payoff
-    c, m = pay.contract, pay.market
+    """Solve the pricing problem; returns (ImpactSolution, diagnostics).
+
+    A grid that does not fit the problem (q0 or S0 off it, a trade that is
+    not a whole number of inventory steps) is a config error.
+    """
     t0 = time.perf_counter()
-    if m.k != 0.0:
-        sol = solve_with_impact(pay, cfg.engine, grid=cfg.grid,
+    try:
+        sol = solve_with_impact(cfg.payoff, cfg.engine, grid=cfg.grid,
                                 scheme=cfg.scheme, config=cfg.tree_config)
-        price, inner = sol.price, sol.solution
-    elif cfg.engine == "tree":
-        inner = solve_tree(pay, cfg.tree_config)
-        price = price_with_initial_exchange(inner)
-    else:
-        inner = solve_theta(pay, cfg.grid, cfg.scheme)
-        price = float(inner.price(0.0, c.q0, m.S0))
+    except np.linalg.LinAlgError:
+        raise  # a ValueError subclass, but a numerical failure
+    except ValueError as e:
+        raise ConfigError(f"solver: {e}")
     wall = time.perf_counter() - t0
-    if not math.isfinite(price):
+    if not math.isfinite(sol.price):
         raise NumericalError("solver produced a non-finite price")
     if cfg.engine == "tree":
-        diag = {"levels": n_steps(c.T, cfg.tree_config.dt),
-                "dt": cfg.tree_config.dt}
+        diag = {"levels": sol.solution.J, "dt": cfg.tree_config.dt}
     else:
         g = cfg.grid
         diag = {"n_S": g.n_S, "n_q": g.n_q, "n_t": g.n_t}
     diag["wall_time_s"] = round(wall, 3)
-    return price, inner, diag
+    return sol, diag
 
 
 def _meta_line(cfg: RunConfig) -> str:
@@ -284,8 +282,8 @@ def _emit(text: str, out: Optional[str]):
 
 
 def cmd_price(cfg: RunConfig, args) -> str:
-    price, _, diag = _solve(cfg)
-    c = cfg.payoff.contract
+    sol, diag = _solve(cfg)
+    price, c = sol.price, cfg.payoff.contract
     per_share = price / c.N if c.N else price
     if args.format == "csv":
         lines = ["engine,settlement,price_per_share,price_total,wall_time_s",
@@ -347,18 +345,14 @@ def cmd_hedge(cfg: RunConfig, args) -> str:
     if not np.allclose(np.diff(t), c.T / steps, rtol=1e-9, atol=1e-12):
         raise ConfigError("path times must be uniform over [0, T]")
 
-    _, solution, _ = _solve(cfg)
+    sol, _ = _solve(cfg)
     try:
-        q, v = policy_trajectory(pay, solution, S)
+        q, v = policy_trajectory(pay, sol.solution, S)
     except ValueError as e:
         raise NumericalError(str(e))
     v_full = np.append(v, 0.0)
-    if m.k != 0.0:
-        S_obs = S + m.k * (q - c.q0)
-        cols = "t,S,q_model,q_bachelier_delta,v_model,S_tilde"
-    else:
-        S_obs = S
-        cols = "t,S,q_model,q_bachelier_delta,v_model"
+    S_obs = sol.observed_price(S, q)
+    cols = "t,S,q_model,q_bachelier_delta,v_model" + (",S_tilde" if m.k else "")
     tau = np.maximum(c.T - t, 0.0)
     q_delta = c.N * bachelier_delta(S_obs, c.K, m.sigma, tau)
     lines = [cols]
@@ -387,20 +381,13 @@ def cmd_simulate(cfg: RunConfig, args) -> str:
         for M in cfg.M_list:
             add(run_delta_hedge(pay, dataclasses.replace(cfg.sim, M=M)))
     if "policy" in cfg.strategies:
+        # the policy is solved on the simulation's own time grid
         steps = cfg.sim.n_obs - 1
-        c = pay.contract
-        if cfg.engine == "tree":
-            tc = dataclasses.replace(cfg.tree_config, dt=c.T / steps)
-            solution = solve_tree(pay, tc)
-        else:
-            per_day = steps / c.T
-            if abs(per_day - round(per_day)) > 1e-9:
-                raise ConfigError("n_obs - 1 must be a whole number of steps "
-                                  "per day for the pde engine")
-            grid = GridSpec.default(pay, n_S=cfg.grid.n_S, n_q=cfg.grid.n_q,
-                                    steps_per_day=int(round(per_day)))
-            solution = solve_theta(pay, grid, cfg.scheme)
-        add(run_policy_hedge(pay, solution, cfg.sim))
+        on_paths = dataclasses.replace(
+            cfg,
+            tree_config=dataclasses.replace(cfg.tree_config, dt=pay.contract.T / steps),
+            grid=dataclasses.replace(cfg.grid, n_t=steps))
+        add(run_policy_hedge(pay, _solve(on_paths)[0].solution, cfg.sim))
     rows.append(_meta_line(cfg))
     return "\n".join(rows) + "\n"
 
@@ -417,12 +404,14 @@ def _sweep_values(text: str, param: str):
         raise ConfigError(f"--values: {e}")
 
 
-def _with_param(pay: PayoffSpec, param: str, value):
+def _with_param(cfg: RunConfig, param: str, value):
     part, field, per = _SWEEP_FIELDS[param]
     new = value if per is None else value / per
+    pay = cfg.payoff
+    rate = cfg.raw["contract"].get("penalty_rate")  # None: rederive from rho_max
     try:
         changed = dataclasses.replace(getattr(pay, part), **{field: new})
-        return dataclasses.replace(pay, **{part: changed}, penalty_rate=None)
+        return dataclasses.replace(pay, **{part: changed}, penalty_rate=rate)
     except ValueError as e:
         raise ConfigError(f"sweep value {value!r}: {e}")
 
@@ -435,9 +424,9 @@ def cmd_sweep(cfg: RunConfig, args) -> str:
     values = _sweep_values(args.values, args.param)
     rows = ["param,value,price_per_share"]
     for value in values:
-        pay = _with_param(cfg.payoff, args.param, value)
+        pay = _with_param(cfg, args.param, value)
         sub = dataclasses.replace(cfg, payoff=pay)
-        price, _, _ = _solve(sub)
+        price = _solve(sub)[0].price
         per_share = price / pay.contract.N if pay.contract.N else price
         val_text = value if isinstance(value, str) else f"{value:.10g}"
         rows.append(f"{args.param},{val_text},{per_share:.10g}")

@@ -1,14 +1,13 @@
-"""Linear permanent market impact via a change of variables.
+"""One dispatcher for both engines, with or without permanent impact.
 
 With permanent impact k > 0 (and zero drift and rates) the value function
 solves the same equation as the k = 0 problem in the shifted coordinate
-S_tilde = S - k(q - q0); only the terminal condition changes. Both solver
-engines are therefore reused without modification on a payoff object that
-evaluates the impacted terminal in S_tilde coordinates. The observed price
-is recovered along paths as S = S_tilde + k(q - q0).
+S_tilde = S - k(q - q0); only the terminal condition changes, and
+`model.terminal_payoff` evaluates it on that axis for every k. Both engines
+therefore solve a plain `PayoffSpec` unmodified. The observed price is
+recovered along paths as S = S_tilde + k(q - q0).
 """
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,93 +17,37 @@ from .model import PayoffSpec
 from .pde import GridSpec, SchemeConfig, solve_theta
 from .tree import TreeConfig, price_with_initial_exchange, solve_tree
 
-__all__ = ["ImpactedPayoff", "ImpactSolution", "solve_with_impact"]
-
-
-@dataclass(frozen=True)
-class ImpactedPayoff:
-    """Payoff in shifted coordinates, handed to either solver as-is.
-
-    `base` carries the market with the true k; `market` below is its k = 0
-    clone because the solvers treat the state variable as impact-free.
-    `include_offset` drops the constant k*q0^2/2 term of the terminal
-    condition; the constant shifts every node uniformly, which the offset
-    identity test exploits.
-    """
-
-    base: PayoffSpec
-    include_offset: bool = True
-
-    @property
-    def contract(self):
-        return self.base.contract
-
-    @property
-    def cost(self):
-        return self.base.cost
-
-    @property
-    def market(self):
-        return dataclasses.replace(self.base.market, k=0.0)
-
-    @property
-    def k(self) -> float:
-        return self.base.market.k
-
-    def liquidation(self, q):
-        return self.base.liquidation(q)
-
-    def terminal(self, q, S_tilde):
-        k = self.k
-        if k == 0.0 and self.include_offset:
-            return self.base.terminal(q, S_tilde)
-        c = self.contract
-        q = np.asarray(q, dtype=float)
-        S_obs = np.asarray(S_tilde, dtype=float) + k * (q - c.q0)
-        call = c.N * np.maximum(S_obs - c.K, 0.0)
-        if c.settlement == "cash":
-            out = call + self.liquidation(q)
-        else:
-            exercised = S_obs >= c.K
-            delivery = self.liquidation(c.N - q) + 0.5 * k * c.N * (c.N - 2.0 * q)
-            out = call + np.where(exercised, delivery, self.liquidation(q))
-        if self.include_offset:
-            out = out + 0.5 * k * c.q0**2
-        return out
-
-    def observed_price(self, S_tilde, q):
-        """Map solver coordinates back to the quoted price."""
-        return np.asarray(S_tilde, dtype=float) + self.k * (np.asarray(q, dtype=float) - self.contract.q0)
+__all__ = ["ImpactSolution", "solve_with_impact"]
 
 
 @dataclass
 class ImpactSolution:
     engine: str
-    payoff: ImpactedPayoff
+    payoff: PayoffSpec
     solution: object  # ThetaSurface or TreeValue, in S_tilde coordinates
     price: float
 
     def observed_price(self, S_tilde, q):
-        return self.payoff.observed_price(S_tilde, q)
+        """Map solver coordinates back to the quoted price."""
+        k, q0 = self.payoff.market.k, self.payoff.contract.q0
+        return np.asarray(S_tilde, dtype=float) + k * (np.asarray(q, dtype=float) - q0)
 
 
 def solve_with_impact(payoff: PayoffSpec, engine: str = "pde",
                       grid: Optional[GridSpec] = None,
                       scheme: Optional[SchemeConfig] = None,
                       config: Optional[TreeConfig] = None) -> ImpactSolution:
-    """Solve the impacted problem with the chosen engine.
+    """Solve the problem with the chosen engine, for any k >= 0.
 
     At t = 0 the shifted and observed prices coincide (S_tilde0 = S0), so
     the returned price is theta(0, q0, S0) read off the solved object.
     """
     if engine not in ("pde", "tree"):
         raise ValueError(f"unknown engine {engine!r}")
-    ip = ImpactedPayoff(payoff)
-    c, m = ip.contract, ip.base.market
+    c, m = payoff.contract, payoff.market
     if engine == "pde":
-        surf = solve_theta(ip, grid if grid is not None else GridSpec.default(ip),
+        surf = solve_theta(payoff, grid if grid is not None else GridSpec.default(payoff),
                            scheme if scheme is not None else SchemeConfig())
-        price = surf.price(0.0, c.q0, m.S0)
-        return ImpactSolution("pde", ip, surf, price)
-    tv = solve_tree(ip, config if config is not None else TreeConfig())
-    return ImpactSolution("tree", ip, tv, price_with_initial_exchange(tv))
+        return ImpactSolution("pde", payoff, surf, surf.price(0.0, c.q0, m.S0))
+    tv = solve_tree(payoff, config if config is not None else TreeConfig())
+    return ImpactSolution("tree", payoff, tv, price_with_initial_exchange(tv))

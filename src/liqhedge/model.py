@@ -364,38 +364,41 @@ class PayoffSpec:
         )
 
     def terminal(self, q, S):
-        """Pi on the broadcast of q and S. Requires k = 0 here."""
-        if self.market.k != 0.0:
-            raise ValueError("terminal() is the k = 0 payoff; use the impact transform for k > 0")
+        """Pi on the broadcast of q and S; S is the engines' price axis."""
         return terminal_payoff(q, S, self)
 
 
 def terminal_payoff(q, S, payoff: PayoffSpec):
-    """Terminal cost Pi(q, S) at maturity, no permanent impact.
+    """Terminal cost Pi(q, S) at maturity, S on the engines' price axis.
 
-    Physical settlement: the call is exercised iff S >= K; the bank delivers
-    N shares against K*N cash when exercised, then unwinds the mismatch:
+    With permanent impact k that axis is S_tilde = S_obs - k*(q - q0), where
+    the problem is the k = 0 one with this terminal; exercise is decided on
+    the observed price S_obs. Physical settlement delivers N shares against
+    K*N cash when S_obs >= K, then unwinds the mismatch:
 
-        Pi = N*(S-K)+ + 1_{S>=K} * ell(N - q) + 1_{S<K} * ell(q)
+        Pi = N*(S_obs-K)+ + 1_{S_obs>=K} * (ell(N - q) + k*N*(N - 2q)/2)
+             + 1_{S_obs<K} * ell(q) + k*q0**2/2
 
     Cash settlement pays the intrinsic value and always unwinds to flat:
 
-        Pi = N*(S-K)+ + ell(q)
+        Pi = N*(S_obs-K)+ + ell(q) + k*q0**2/2
 
-    Pi >= N*(S-K)+ pointwise.
+    At k = 0 the impact terms add exactly zero and Pi >= N*(S-K)+ pointwise.
     """
     c = payoff.contract
+    k = payoff.market.k
     q = np.asarray(q, dtype=float)
     S = np.asarray(S, dtype=float)
     qb, Sb = np.broadcast_arrays(q, S)
-    intrinsic = c.N * np.maximum(Sb - c.K, 0.0)
+    S_obs = Sb + k * (qb - c.q0)
+    intrinsic = c.N * np.maximum(S_obs - c.K, 0.0)
     if c.settlement == "cash":
         out = intrinsic + payoff.liquidation(qb)
     else:
-        exercised = Sb >= c.K
-        out = intrinsic + np.where(
-            exercised, payoff.liquidation(c.N - qb), payoff.liquidation(qb)
-        )
+        exercised = S_obs >= c.K
+        delivery = payoff.liquidation(c.N - qb) + 0.5 * k * c.N * (c.N - 2.0 * qb)
+        out = intrinsic + np.where(exercised, delivery, payoff.liquidation(qb))
+    out = out + 0.5 * k * c.q0**2
     return float(out) if out.ndim == 0 else out
 
 

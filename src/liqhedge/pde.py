@@ -42,6 +42,8 @@ from .model import optimal_rate
 __all__ = ["GridSpec", "SchemeConfig", "ThetaSurface", "solve_theta",
            "export_surface_csv"]
 
+_MAX_SUBSTEPS = 100_000  # CFL substeps per time step before giving up
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -89,18 +91,20 @@ class GridSpec:
 @dataclass(frozen=True)
 class SchemeConfig:
     """Splitting order ("ABC" or "ACB"; A always first), control-set size for
-    the semi-Lagrangian step, CFL safety factor for the Godunov substep."""
+    the semi-Lagrangian step, CFL safety factor in (0, 1] for the Godunov
+    substep."""
 
     order: str = "ABC"
     n_controls: int = 41
     cfl_safety: float = 0.9
-    max_substeps: int = 100_000
 
     def __post_init__(self):
         if self.order not in ("ABC", "ACB"):
             raise ValueError("order must be 'ABC' or 'ACB'")
         if self.n_controls < 3 or self.n_controls % 2 == 0:
             raise ValueError("n_controls must be odd and >= 3 (0 must be a candidate)")
+        if not (0.0 < self.cfl_safety <= 1.0):
+            raise ValueError("cfl_safety must satisfy 0 < cfl_safety <= 1")
 
 
 class ThetaSurface:
@@ -216,8 +220,8 @@ def _step_B(theta: np.ndarray, qcol: np.ndarray, dS: float, coef: float,
         theta = theta + (0.5 * coef * sub) * gap**2
         done += sub
         n += 1
-        if n > scheme.max_substeps:
-            raise RuntimeError("CFL sub-stepping did not terminate")
+        if n > _MAX_SUBSTEPS:
+            raise FloatingPointError("CFL sub-stepping did not terminate")
     return theta
 
 
@@ -288,13 +292,11 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
                 scheme: SchemeConfig = SchemeConfig()) -> ThetaSurface:
     """Solve the splitting scheme backward from Pi; returns a ThetaSurface.
 
-    Requires k = 0 on the payoff's market (the impact transform supplies an
-    equivalent k = 0 problem in shifted coordinates). Aborts with node
-    coordinates on any non-finite value.
+    With permanent impact k > 0 the S axis is the shifted price
+    S_tilde = S - k*(q - q0), on which the problem is the k = 0 one with the
+    impacted terminal. Aborts with node coordinates on any non-finite value.
     """
     c, m = payoff.contract, payoff.market
-    if m.k != 0.0:
-        raise ValueError("PDE engine needs k = 0; use the impact transform")
     if grid is None:
         grid = GridSpec.default(payoff)
     qgrid, Sgrid = grid.q, grid.S

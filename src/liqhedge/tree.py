@@ -51,6 +51,10 @@ class TreeConfig:
     q_max: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("dt", "alpha", "dq", "q_min", "q_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if not (self.dt > 0):
             raise ValueError("dt must be > 0")
         if not (self.alpha >= 1.0):
@@ -142,13 +146,12 @@ def n_steps(T: float, dt: float) -> int:
 def solve_tree(payoff, config: TreeConfig = TreeConfig()):
     """Run the backward induction; returns a TreeValue.
 
-    Requires k = 0 on the payoff's market (the impact transform hands the
-    solver an equivalent k = 0 problem), T/dt integer, q0 on the inventory
-    grid, and — for constant volume — rho_max*V*dt an integer multiple of dq.
+    Requires T/dt integer, q0 on the inventory grid, and — for constant
+    volume — rho_max*V*dt an integer multiple of dq. With permanent impact
+    k > 0 the node prices are the shifted price S_tilde = S - k*(q - q0),
+    on which the problem is the k = 0 one with the impacted terminal.
     """
     c, m = payoff.contract, payoff.market
-    if m.k != 0.0:
-        raise ValueError("tree engine needs k = 0; use the impact transform")
     dt, alpha = config.dt, config.alpha
     J = n_steps(c.T, dt)
 

@@ -1,13 +1,20 @@
 """CLI tests: config validation and exit codes, output formats, the four
 subcommands, determinism of emitted artifacts."""
 
+import contextlib
+import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liqhedge.cli import load_config, main
 from liqhedge.model import bachelier_price
+from liqhedge.pde import solve_theta
+from liqhedge.simulate import run_policy_hedge
 
 META_PREFIX = "# liqhedge "
 
@@ -118,6 +125,15 @@ def test_invalid_field_value_reports_config_error(tmp_path, capsys):
     ("price", "cost", "psi", float("nan")),
     ("price", "contract", "gamma", float("inf")),
     ("price", "solver", "tree", {"dt": 0.4}),  # does not divide T = 63
+    ("price", "solver", "tree", {"dq": 3e5}),  # does not divide the max trade
+    ("price", "contract", "q0", 1234567),      # off the inventory grid
+    ("simulate", "simulation", "seed", float("inf")),
+    ("simulate", "simulation", "n_paths", float("inf")),
+    ("simulate", "simulation", "n_obs", float("inf")),
+    ("price", "solver", "pde", {"n_S": float("inf")}),
+    ("price", "solver", "pde", {"n_q": float("inf")}),
+    ("price", "solver", "pde", {"steps_per_day": float("inf")}),
+    ("price", "solver", "pde", {"cfl_safety": 0.0}),
 ])
 def test_bad_values_exit_with_config_error(tmp_path, capsys, command,
                                            section, key, value):
@@ -249,6 +265,26 @@ def test_simulate_seed_flag(tmp_path, capsys):
     assert "seed=1" in other.strip().splitlines()[-1]
 
 
+def test_simulate_policy_keeps_explicit_pde_bounds(tmp_path, capsys):
+    cfg = reference_dict(
+        solver={"engine": "pde", "pde": {
+            "S_min": 39.0, "S_max": 51.0, "n_S": 25,
+            "q_min": 0.0, "q_max": 2e7, "n_q": 21}},
+        simulation={"n_paths": 200, "n_obs": 9, "seed": 0,
+                    "strategies": ["policy"]})
+    cfg["contract"]["T"] = 4.0
+    path = write(tmp_path, cfg)
+    code, out = run(capsys, "simulate", "--config", path)
+    assert code == 0
+
+    rc = load_config(path)
+    grid = dataclasses.replace(rc.grid, n_t=rc.sim.n_obs - 1)
+    st = run_policy_hedge(rc.payoff, solve_theta(rc.payoff, grid, rc.scheme), rc.sim)
+    assert out.splitlines()[1] == (
+        f"{st.strategy},{st.M},{st.mean_cost:.10g},{st.var_cost:.10g},"
+        f"{st.exec_cost_mean:.10g},{st.n},{st.seed}")
+
+
 def test_simulate_rejects_permanent_impact(tmp_path, capsys):
     cfg = sim_dict()
     cfg["market"]["k"] = 1e-7
@@ -272,6 +308,20 @@ def test_sweep_settlement_ordering(tmp_path, capsys):
     assert cash > physical
 
 
+@pytest.mark.parametrize("param, value", [("eta", "0.1"), ("rho_max", "5")])
+def test_sweep_keeps_configured_penalty_rate(tmp_path, capsys, param, value):
+    cfg = reference_dict(solver={"engine": "tree", "tree": {"dt": 1.0}})
+    cfg["contract"].update(T=4.0, penalty_rate=1.0)
+    path = write(tmp_path, cfg)
+    code, out = run(capsys, "price", "--config", path)
+    assert code == 0
+    price = json.loads(out)["price_per_share"]
+    code, out = run(capsys, "sweep", "--config", path,
+                    "--param", param, "--values", value)
+    assert code == 0
+    assert out.splitlines()[1] == f"{param},{value},{price:.10g}"
+
+
 def test_sweep_argument_validation(tmp_path, capsys):
     path = write(tmp_path, reference_dict())
     with pytest.raises(SystemExit) as exc:
@@ -288,3 +338,81 @@ def test_out_flag_writes_file(tmp_path, capsys):
     code, out = run(capsys, "price", "--config", path, "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["engine"] == "tree"
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract under config mutations
+
+FUZZ_BASE = {
+    "market": {"S0": 45.0, "sigma": 0.6,
+               "volume": {"starts": [0.0, 2.0], "values": [4e6, 2e6]},
+               "rho_max": 5.0, "mu": 0.0, "r": 0.0, "k": 0.0},
+    "cost": {"eta": 0.1, "phi": 0.75, "psi": 0.01},
+    "contract": {"K": 45.0, "T": 4.0, "N": 2e7, "gamma": 2e-7, "q0": 1e7,
+                 "settlement": "physical", "penalty_rate": 1.0},
+    "solver": {
+        "engine": "pde",
+        "tree": {"dt": 1.0, "alpha": 1.5, "dq": 1e5, "q_min": 0.0, "q_max": 2e7},
+        "pde": {"n_S": 21, "n_q": 11, "steps_per_day": 2, "S_min": 36.0,
+                "S_max": 54.0, "q_min": -2e6, "q_max": 2.2e7, "order": "ABC",
+                "n_controls": 5, "cfl_safety": 0.9},
+    },
+    "simulation": {"n_paths": 40, "n_obs": 5, "seed": 1, "M": [2, 4],
+                   "strategies": ["delta", "policy"]},
+}
+FUZZ_COMMANDS = (
+    ("price",), ("price", "--engine", "tree"),
+    ("simulate",), ("simulate", "--engine", "tree"),
+    ("sweep", "--param", "k", "--values", "0,1e-7"),
+)
+MUTATIONS = ("wrong type", "nan", "+inf", "-inf", "negative", "empty", "missing")
+
+
+def leaf_paths(node, prefix=()):
+    """Key paths of every value below node: sections, leaves, list items."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    out = []
+    for key, child in items:
+        out.append(prefix + (key,))
+        out.extend(leaf_paths(child, prefix + (key,)))
+    return out
+
+
+def mutated(path, how):
+    cfg = json.loads(json.dumps(FUZZ_BASE))
+    *parents, key = path
+    holder = cfg
+    for p in parents:
+        holder = holder[p]
+    old = holder[key]
+    if how == "missing":
+        del holder[key]
+        return cfg
+    if how == "wrong type":
+        new = 1.5 if isinstance(old, str) else "x"
+    elif how == "nan":
+        new = float("nan")
+    elif how in ("+inf", "-inf"):
+        new = float(how)
+    elif how == "negative":
+        new = -abs(old) if isinstance(old, (int, float)) and old else -1
+    else:
+        new = type(old)() if isinstance(old, (str, list, dict)) else None
+    holder[key] = new
+    return cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(leaf_paths(FUZZ_BASE)),
+       how=st.sampled_from(MUTATIONS),
+       command=st.sampled_from(FUZZ_COMMANDS))
+def test_config_mutations_keep_exit_code_contract(tmp_path_factory, path, how,
+                                                  command):
+    cfg_path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    cfg_path.write_text(json.dumps(mutated(path, how)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command[0], "--config", str(cfg_path), *command[1:]])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

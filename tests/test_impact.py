@@ -2,6 +2,8 @@
 direct substitution, the uniform-offset identity on the tree engine, and
 price monotonicity in k."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from liqhedge.model import (
     PayoffSpec,
     VolumeCurve,
 )
-from liqhedge.impact import ImpactedPayoff, solve_with_impact
+from liqhedge.impact import solve_with_impact
 from liqhedge.pde import GridSpec
 from liqhedge.tree import TreeConfig, price_with_initial_exchange, solve_tree
 
@@ -27,10 +29,11 @@ def make_payoff(k=0.0, T=8.0, settlement="physical", q0=1e6):
 
 def test_degenerates_without_impact():
     pay = make_payoff(k=0.0)
-    ip = ImpactedPayoff(pay)
     q = np.linspace(-1e5, 2.2e6, 7)[:, None]
     S = np.linspace(30.0, 60.0, 9)[None, :]
-    np.testing.assert_array_equal(ip.terminal(q, S), pay.terminal(q, S))
+    N, K, ell = pay.contract.N, pay.contract.K, pay.liquidation
+    impact_free = N * np.maximum(S - K, 0.0) + np.where(S >= K, ell(N - q), ell(q))
+    np.testing.assert_array_equal(pay.terminal(q, S), impact_free)
     direct = price_with_initial_exchange(solve_tree(pay, TreeConfig(dt=0.5)))
     via = solve_with_impact(pay, "tree", config=TreeConfig(dt=0.5))
     assert via.price == direct
@@ -38,8 +41,8 @@ def test_degenerates_without_impact():
 
 def test_terminal_formulas_by_substitution():
     k, q0, N, K = 3e-6, 1e6, 2e6, 45.0
-    cash = ImpactedPayoff(make_payoff(k=k, settlement="cash"))
-    phys = ImpactedPayoff(make_payoff(k=k, settlement="physical"))
+    cash = make_payoff(k=k, settlement="cash")
+    phys = make_payoff(k=k, settlement="physical")
     ell = cash.liquidation
 
     # q = q0 kills the coordinate shift
@@ -65,9 +68,11 @@ def test_terminal_formulas_by_substitution():
 def test_offset_shifts_every_node_uniformly():
     pay = make_payoff(k=3e-6)
     cfg = TreeConfig(dt=0.5)
-    with_off = solve_tree(ImpactedPayoff(pay), cfg)
-    without = solve_tree(ImpactedPayoff(pay, include_offset=False), cfg)
     shift = 0.5 * 3e-6 * 1e6**2
+    # a penalty lowered by the constant cancels the terminal's k*q0^2/2
+    no_offset = dataclasses.replace(pay, penalty=lambda q: pay.liquidation(q) - shift)
+    with_off = solve_tree(pay, cfg)
+    without = solve_tree(no_offset, cfg)
     for j in range(with_off.J + 1):
         np.testing.assert_allclose(with_off.theta[j] - without.theta[j],
                                    shift, rtol=1e-12)
@@ -79,7 +84,7 @@ def test_price_monotone_in_impact():
     for k in (0.0, 1.5e-6, 3e-6):
         pay = make_payoff(k=k)
         if grid is None:
-            grid = GridSpec.default(ImpactedPayoff(pay), n_S=81, n_q=41)
+            grid = GridSpec.default(pay, n_S=81, n_q=41)
             grid = GridSpec(grid.S_min, grid.S_max, 81, grid.q_min,
                             grid.q_max, 41, 32)
         prices.append(solve_with_impact(pay, "pde", grid=grid).price)

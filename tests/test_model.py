@@ -253,12 +253,15 @@ def test_payoff_penalty_override():
     assert terminal_payoff(1e7, 47.0, p) == pytest.approx(4e7)
 
 
-def test_payoff_rejects_impact():
+def test_payoff_terminal_with_impact_pinned():
+    # k > 0 terminal on the shifted price axis S_tilde; frozen values
     contract = OptionContract(K=45.0, T=63.0, N=2e7, gamma=2e-7, q0=1e7)
     market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0, k=3e-7)
     p = PayoffSpec(contract=contract, market=market, cost=REF_COST)
-    with pytest.raises(ValueError):
-        p.terminal(1e7, 45.0)
+    assert p.terminal(1e7, 45.0) == 18943701.524882108   # q = q0, at the strike
+    assert p.terminal(2e7, 44.0) == -5000000.0           # exercised: observed 47
+    assert p.terminal(5e6, 44.0) == 16746850.762441054   # abandoned: observed 42.5
+    assert p.terminal(2e7, 42.0) == -45000000.0          # observed price exactly K
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ def reference_payoff(**over):
     kw = dict(K=45.0, T=63.0, N=2e7, gamma=2e-7, q0=1e7, settlement="physical")
     kw.update({k: over.pop(k) for k in list(over) if k in kw})
     contract = OptionContract(**kw)
-    mkw = dict(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0, mu=0.0, r=0.0)
+    mkw = dict(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0, mu=0.0, r=0.0, k=0.0)
     mkw.update({k: over.pop(k) for k in list(over) if k in mkw})
     mkw["volume"] = VolumeCurve.constant(mkw["volume"])
     market = MarketParams(**mkw)
@@ -197,7 +197,6 @@ def test_export_csv(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_grid_validation():
-    pay = reference_payoff()
     with pytest.raises(ValueError):
         GridSpec(50.0, 40.0, 11, 0.0, 1.0, 5, 4)
     with pytest.raises(ValueError):
@@ -206,8 +205,15 @@ def test_grid_validation():
         SchemeConfig(order="BAC")
     with pytest.raises(ValueError):
         SchemeConfig(n_controls=40)
+    for bad in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            SchemeConfig(cfl_safety=bad)
     with pytest.raises(ValueError):
         GridSpec.default(reference_payoff(N=0.0, q0=0.0))
-    object.__setattr__(pay.market, "k", 1e-7)
-    with pytest.raises(ValueError):
-        solve_theta(pay)
+
+
+def test_solves_permanent_impact_pinned():
+    # k > 0 runs on the shifted price axis; frozen regression value
+    pay = reference_payoff(T=8.0, k=3e-7)
+    price = solve_theta(pay, small_grid(pay, n_t=16)).price(0.0, 1e7, 45.0)
+    assert price == pytest.approx(28371457.97815135, rel=1e-12)

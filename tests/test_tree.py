@@ -6,6 +6,7 @@ reference scenario is pinned as a regression value; structural properties
 checked directly.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -205,11 +206,12 @@ def test_csv_dump(tmp_path, reference_tree):
 # validation
 # ---------------------------------------------------------------------------
 
-def test_rejects_permanent_impact():
-    pay = reference_payoff()
-    object.__setattr__(pay.market, "k", 3e-7)
-    with pytest.raises(ValueError):
-        solve_tree(pay)
+def test_solves_permanent_impact_pinned():
+    # k > 0 runs on the shifted price axis; frozen regression value
+    pay = reference_payoff(T=8.0)
+    pay = dataclasses.replace(pay, market=dataclasses.replace(pay.market, k=3e-7))
+    tv = solve_tree(pay, TreeConfig(dt=0.5))
+    assert price_with_initial_exchange(tv) == 25006088.627682924
 
 
 def test_rejects_bad_grids():
@@ -221,3 +223,7 @@ def test_rejects_bad_grids():
     bad_q0 = reference_payoff(T=8.0, q0=1e7 + 5e4)
     with pytest.raises(ValueError):
         solve_tree(bad_q0, TreeConfig(dt=0.5, dq=1e5))
+    for bad in ({"dt": math.inf}, {"alpha": math.inf}, {"dq": math.nan},
+                {"q_min": -math.inf, "q_max": 2e7}):
+        with pytest.raises(ValueError):
+            TreeConfig(**bad)
