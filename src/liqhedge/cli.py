@@ -2,7 +2,8 @@
 
 Configuration is a single JSON document with top-level sections
 `market`, `cost`, `contract`, `solver`, `simulation`; unknown keys are
-rejected anywhere. Unit conventions in the file: `mu` and `r` are
+rejected anywhere, and a key left out takes the default of the library
+object it builds. Unit conventions in the file: `mu` and `r` are
 annualized and divided by 252 internally, `sigma` is per square-root
 day, `T` is in days, volumes are shares per day. Exit codes: 0 success,
 2 configuration error, 3 numerical failure.
@@ -42,18 +43,10 @@ from .tree import TreeConfig, n_steps
 
 DAYS_PER_YEAR = 252.0
 
-# sweep parameter -> (payoff part, field, divisor from file units to model
-# units; None leaves the value as given)
-_SWEEP_FIELDS = {
-    "eta": ("cost", "eta", None),
-    "gamma": ("contract", "gamma", None),
-    "q0": ("contract", "q0", None),
-    "rho_max": ("market", "rho_max", None),
-    "r": ("market", "r", DAYS_PER_YEAR),
-    "mu": ("market", "mu", DAYS_PER_YEAR),
-    "k": ("market", "k", None),
-    "settlement": ("contract", "settlement", None),
-}
+# sweep parameter -> the config section, and payoff part, it belongs to
+_SWEEP_FIELDS = {"eta": "cost", "gamma": "contract", "q0": "contract",
+                 "rho_max": "market", "r": "market", "mu": "market",
+                 "k": "market", "settlement": "contract"}
 SWEEP_PARAMS = tuple(_SWEEP_FIELDS)
 
 
@@ -66,32 +59,72 @@ class NumericalError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config loading
-
-_SECTIONS = {
-    "market": {"S0", "sigma", "volume", "rho_max", "mu", "r", "k"},
-    "cost": {"eta", "phi", "psi"},
-    "contract": {"K", "T", "N", "gamma", "q0", "settlement", "penalty_rate"},
-    "solver": {"engine", "tree", "pde"},
-    "simulation": {"n_paths", "n_obs", "seed", "M", "strategies"},
-}
-_TREE_KEYS = {"dt", "alpha", "dq", "q_min", "q_max"}
-_PDE_KEYS = {"n_S", "n_q", "steps_per_day", "S_min", "S_max", "q_min",
-             "q_max", "order", "n_controls", "cfl_safety"}
+# config loading: one table per section maps each key to its conversion from
+# file units to model units. An object is built from the keys the file
+# gives, so every other field takes the object's own default.
 
 
-def _reject_unknown(name: str, section: dict, allowed: set):
+def _reject_unknown(name: str, section: dict, allowed):
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: expected a JSON object")
-    unknown = set(section) - allowed
+    unknown = section.keys() - allowed
     if unknown:
         raise ConfigError(f"{name}: unknown key(s) {sorted(unknown)}")
 
 
-def _need(name: str, section: dict, key: str):
-    if key not in section:
-        raise ConfigError(f"{name}: missing required key '{key}'")
-    return section[key]
+def _build(name: str, section: dict, make):
+    """make(**converted keys of section); every failure is a ConfigError."""
+    table = _TABLES[name]
+    _reject_unknown(name, section, table)
+    try:
+        return make(**{key: table[key](value) for key, value in section.items()})
+    except (ValueError, TypeError, OverflowError, KeyError) as e:
+        raise ConfigError(f"{name}: {e}")
+
+
+def _optional(convert):
+    """JSON null keeps meaning "use the default"."""
+    return lambda value: None if value is None else convert(value)
+
+
+def _per_day(annual):
+    return float(annual) / DAYS_PER_YEAR
+
+
+_TABLES = {
+    "market": {"S0": float, "sigma": float, "rho_max": float,
+               "mu": _per_day, "r": _per_day, "k": float,
+               # shares per day, or a {starts, values} curve
+               "volume": lambda v: VolumeCurve(**v) if isinstance(v, dict) else v},
+    "cost": {"eta": float, "phi": float, "psi": float},
+    "contract": {"K": float, "T": float, "N": float, "gamma": float,
+                 "q0": float, "settlement": str, "penalty_rate": _optional(float)},
+    "solver.tree": {"dt": float, "alpha": float, "dq": _optional(float),
+                    "q_min": _optional(float), "q_max": _optional(float)},
+    # the SchemeConfig keys, then the GridSpec.default keys
+    "solver.pde": {"order": str, "n_controls": int, "cfl_safety": float,
+                   "n_S": int, "n_q": int, "steps_per_day": float,
+                   "S_min": float, "S_max": float, "q_min": float, "q_max": float},
+    "simulation": {"n_paths": int, "n_obs": int, "seed": int, "strategies": list,
+                   "M": lambda M: [int(m) for m in (M if isinstance(M, list) else [M])]},
+}
+_SCHEME_KEYS = {f.name for f in dataclasses.fields(SchemeConfig)}
+
+
+def _scheme_and_grid(payoff, **keys):
+    scheme = {k: keys.pop(k) for k in _SCHEME_KEYS & keys.keys()}
+    return SchemeConfig(**scheme), GridSpec.default(payoff, **keys)
+
+
+def _simulation(M=(10, 20, 40, 80, 160), strategies=("delta", "policy"), **keys):
+    """The PathConfig, plus the CLI-only rebalance counts and strategies."""
+    sim = PathConfig(**keys)
+    for m in M:
+        dataclasses.replace(sim, M=m)  # validates each rebalance count
+    for s in strategies:
+        if s not in ("delta", "policy"):
+            raise ValueError(f"unknown strategy '{s}'")
+    return sim, list(M), list(strategies)
 
 
 @dataclass
@@ -112,43 +145,6 @@ class RunConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _build_market(sec: dict) -> MarketParams:
-    _reject_unknown("market", sec, _SECTIONS["market"])
-    vol = _need("market", sec, "volume")
-    if isinstance(vol, dict):
-        _reject_unknown("market.volume", vol, {"starts", "values"})
-        vol = VolumeCurve(_need("market.volume", vol, "starts"),
-                          _need("market.volume", vol, "values"))
-    return MarketParams(
-        S0=float(_need("market", sec, "S0")),
-        sigma=float(_need("market", sec, "sigma")),
-        volume=vol,
-        rho_max=float(_need("market", sec, "rho_max")),
-        mu=float(sec.get("mu", 0.0)) / DAYS_PER_YEAR,
-        r=float(sec.get("r", 0.0)) / DAYS_PER_YEAR,
-        k=float(sec.get("k", 0.0)),
-    )
-
-
-def _build_cost(sec: dict) -> ExecutionCost:
-    _reject_unknown("cost", sec, _SECTIONS["cost"])
-    return ExecutionCost(eta=float(_need("cost", sec, "eta")),
-                         phi=float(_need("cost", sec, "phi")),
-                         psi=float(sec.get("psi", 0.0)))
-
-
-def _build_contract(sec: dict) -> OptionContract:
-    _reject_unknown("contract", sec, _SECTIONS["contract"])
-    return OptionContract(
-        K=float(_need("contract", sec, "K")),
-        T=float(_need("contract", sec, "T")),
-        N=float(_need("contract", sec, "N")),
-        gamma=float(_need("contract", sec, "gamma")),
-        q0=float(sec.get("q0", 0.0)),
-        settlement=str(sec.get("settlement", "physical")),
-    )
-
-
 def load_config(path: str, engine_override=None, seed_override=None) -> RunConfig:
     try:
         with open(path) as fh:
@@ -157,79 +153,31 @@ def load_config(path: str, engine_override=None, seed_override=None) -> RunConfi
         raise ConfigError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    _reject_unknown("config", raw, set(_SECTIONS))
-    for key in ("market", "cost", "contract"):
-        if key not in raw:
-            raise ConfigError(f"config: missing required section '{key}'")
-
-    try:
-        market = _build_market(raw["market"])
-        cost = _build_cost(raw["cost"])
-        contract = _build_contract(raw["contract"])
-        penalty_rate = raw["contract"].get("penalty_rate")
-        payoff = PayoffSpec(contract, market, cost,
-                            penalty_rate=None if penalty_rate is None
-                            else float(penalty_rate))
-    except (ValueError, TypeError, OverflowError) as e:
-        raise ConfigError(str(e))
+    _reject_unknown("config", raw, {"market", "cost", "contract", "solver", "simulation"})
+    market = _build("market", raw.get("market", {}), MarketParams)
+    cost = _build("cost", raw.get("cost", {}), ExecutionCost)
+    payoff = _build("contract", raw.get("contract", {}),
+                    lambda penalty_rate=None, **contract: PayoffSpec(
+                        OptionContract(**contract), market, cost, penalty_rate))
 
     solver = raw.get("solver", {})
-    _reject_unknown("solver", solver, _SECTIONS["solver"])
+    _reject_unknown("solver", solver, {"engine", "tree", "pde"})
     engine = engine_override or solver.get("engine", "pde")
     if engine not in ("pde", "tree"):
         raise ConfigError(f"engine must be 'pde' or 'tree', got '{engine}'")
-
-    tree_sec = solver.get("tree", {})
-    _reject_unknown("solver.tree", tree_sec, _TREE_KEYS)
-    pde_sec = solver.get("pde", {})
-    _reject_unknown("solver.pde", pde_sec, _PDE_KEYS)
-    try:
-        tree_config = TreeConfig(
-            dt=float(tree_sec.get("dt", 0.25)),
-            alpha=float(tree_sec.get("alpha", math.sqrt(2.0))),
-            dq=tree_sec.get("dq"),
-            q_min=tree_sec.get("q_min"),
-            q_max=tree_sec.get("q_max"),
-        )
-        scheme = SchemeConfig(
-            order=pde_sec.get("order", "ABC"),
-            n_controls=int(pde_sec.get("n_controls", 41)),
-            cfl_safety=float(pde_sec.get("cfl_safety", 0.9)),
-        )
-        if {"S_min", "S_max", "q_min", "q_max"} <= set(pde_sec):
-            n_t = max(1, round(pde_sec.get("steps_per_day", 4) * contract.T))
-            grid = GridSpec(float(pde_sec["S_min"]), float(pde_sec["S_max"]),
-                            int(pde_sec.get("n_S", 241)),
-                            float(pde_sec["q_min"]), float(pde_sec["q_max"]),
-                            int(pde_sec.get("n_q", 121)), n_t)
-        else:
-            grid = GridSpec.default(payoff,
-                                    n_S=int(pde_sec.get("n_S", 241)),
-                                    n_q=int(pde_sec.get("n_q", 121)),
-                                    steps_per_day=int(pde_sec.get("steps_per_day", 4)))
-        if engine == "tree":
-            n_steps(contract.T, tree_config.dt)
-    except (ValueError, TypeError, OverflowError) as e:
-        raise ConfigError(f"solver: {e}")
+    tree_config = _build("solver.tree", solver.get("tree", {}), TreeConfig)
+    scheme, grid = _build("solver.pde", solver.get("pde", {}),
+                          lambda **keys: _scheme_and_grid(payoff, **keys))
+    if engine == "tree":
+        try:
+            n_steps(payoff.contract.T, tree_config.dt)
+        except ValueError as e:
+            raise ConfigError(f"solver.tree: {e}")
 
     sim_sec = raw.get("simulation", {})
-    _reject_unknown("simulation", sim_sec, _SECTIONS["simulation"])
-    try:
-        M_raw = sim_sec.get("M", [10, 20, 40, 80, 160])
-        M_list = [int(m) for m in (M_raw if isinstance(M_raw, list) else [M_raw])]
-        strategies = list(sim_sec.get("strategies", ["delta", "policy"]))
-        seed = seed_override if seed_override is not None else int(sim_sec.get("seed", 0))
-        sim = PathConfig(n_paths=int(sim_sec.get("n_paths", 10_000)),
-                         n_obs=int(sim_sec.get("n_obs", 253)),
-                         seed=seed)
-        for M in M_list:
-            dataclasses.replace(sim, M=M)  # validates each rebalance count
-    except (ValueError, TypeError, OverflowError) as e:
-        raise ConfigError(f"simulation: {e}")
-    for s in strategies:
-        if s not in ("delta", "policy"):
-            raise ConfigError(f"simulation: unknown strategy '{s}'")
-
+    if seed_override is not None and isinstance(sim_sec, dict):
+        sim_sec = {**sim_sec, "seed": seed_override}
+    sim, M_list, strategies = _build("simulation", sim_sec, _simulation)
     return RunConfig(payoff, engine, tree_config, grid, scheme, sim,
                      M_list, strategies, raw)
 
@@ -372,14 +320,18 @@ def cmd_simulate(cfg: RunConfig, args) -> str:
         raise ConfigError("simulation requires k = 0")
     rows = ["strategy,M,mean_cost,var_cost,exec_cost_mean,n_paths,seed"]
 
-    def add(st):
+    def add(run, *args):
+        try:
+            st = run(pay, *args)
+        except ValueError as e:  # e.g. a NaN cost from a zero-volume interval
+            raise NumericalError(str(e))
         rows.append(f"{st.strategy},{st.M},{st.mean_cost:.10g},"
                     f"{st.var_cost:.10g},{st.exec_cost_mean:.10g},"
                     f"{st.n},{st.seed}")
 
     if "delta" in cfg.strategies:
         for M in cfg.M_list:
-            add(run_delta_hedge(pay, dataclasses.replace(cfg.sim, M=M)))
+            add(run_delta_hedge, dataclasses.replace(cfg.sim, M=M))
     if "policy" in cfg.strategies:
         # the policy is solved on the simulation's own time grid
         steps = cfg.sim.n_obs - 1
@@ -387,7 +339,7 @@ def cmd_simulate(cfg: RunConfig, args) -> str:
             cfg,
             tree_config=dataclasses.replace(cfg.tree_config, dt=pay.contract.T / steps),
             grid=dataclasses.replace(cfg.grid, n_t=steps))
-        add(run_policy_hedge(pay, _solve(on_paths)[0].solution, cfg.sim))
+        add(run_policy_hedge, _solve(on_paths)[0].solution, cfg.sim)
     rows.append(_meta_line(cfg))
     return "\n".join(rows) + "\n"
 
@@ -405,12 +357,12 @@ def _sweep_values(text: str, param: str):
 
 
 def _with_param(cfg: RunConfig, param: str, value):
-    part, field, per = _SWEEP_FIELDS[param]
-    new = value if per is None else value / per
+    part = _SWEEP_FIELDS[param]
     pay = cfg.payoff
     rate = cfg.raw["contract"].get("penalty_rate")  # None: rederive from rho_max
     try:
-        changed = dataclasses.replace(getattr(pay, part), **{field: new})
+        new = _TABLES[part][param](value)
+        changed = dataclasses.replace(getattr(pay, part), **{param: new})
         return dataclasses.replace(pay, **{part: changed}, penalty_rate=rate)
     except ValueError as e:
         raise ConfigError(f"sweep value {value!r}: {e}")

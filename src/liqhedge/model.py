@@ -60,8 +60,8 @@ class VolumeCurve:
             raise ValueError("starts and values must be 1d arrays of equal length")
         if starts.size == 0:
             raise ValueError("volume curve needs at least one segment")
-        if np.any(np.diff(starts) <= 0):
-            raise ValueError("segment start times must be strictly increasing")
+        if not np.all(np.isfinite(starts)) or np.any(np.diff(starts) <= 0):
+            raise ValueError("segment start times must be finite and strictly increasing")
         if np.any(values < 0) or not np.all(np.isfinite(values)):
             raise ValueError("volumes must be finite and >= 0")
         self.starts = starts
@@ -337,8 +337,9 @@ class PayoffSpec:
 
     Bundles the contract, market and execution cost together with the
     liquidation penalty used at maturity. `penalty_rate` defaults to the
-    market participation cap; `penalty` overrides the closed-form penalty
-    with an arbitrary even function of q (used for degenerate benchmarks).
+    market participation cap; the closed-form penalty needs a final volume
+    segment > 0. `penalty` overrides it with an arbitrary even function of
+    q (used for degenerate benchmarks).
     """
 
     contract: OptionContract
@@ -352,6 +353,8 @@ class PayoffSpec:
             rate = self.penalty_rate if self.penalty_rate is not None else self.market.rho_max
             if not (0 < rate <= self.market.rho_max):
                 raise ValueError("penalty_rate must satisfy 0 < rate <= rho_max")
+            if not (self.market.volume.final_value > 0):
+                raise ValueError("liquidation needs market volume > 0 on the final segment")
             object.__setattr__(self, "penalty_rate", float(rate))
 
     def liquidation(self, q):

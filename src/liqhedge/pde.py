@@ -60,24 +60,28 @@ class GridSpec:
     def __post_init__(self):
         if not (self.S_max > self.S_min):
             raise ValueError("need S_max > S_min")
-        if not (self.q_max >= self.q_min):
-            raise ValueError("need q_max >= q_min")
+        if not (self.q_max > self.q_min):
+            raise ValueError("need q_max > q_min")
         if self.n_S < 3 or self.n_q < 2 or self.n_t < 1:
             raise ValueError("grid too small")
 
     @classmethod
     def default(cls, payoff, n_S: int = 241, n_q: int = 121,
-                steps_per_day: int = 4) -> "GridSpec":
+                steps_per_day: float = 4.0, **bounds) -> "GridSpec":
         """S spans +-6 sigma sqrt(T) around the strike (widened to cover
-        the spot), q spans [-0.1N, 1.1N], 4 time steps per day."""
+        the spot), q spans [-0.1N, 1.1N], 4 time steps per day. Each of
+        S_min, S_max, q_min, q_max given in `bounds` replaces its default;
+        n_t = max(1, round(steps_per_day*T)) for any steps_per_day > 0."""
         c, m = payoff.contract, payoff.market
+        if not (steps_per_day > 0):
+            raise ValueError("steps_per_day must be > 0")
+        if c.N <= 0 and not {"q_min", "q_max"} <= bounds.keys():
+            raise ValueError("default grid needs N > 0; pass q_min and q_max")
         width = 6.0 * m.sigma * math.sqrt(c.T)
-        lo, hi = min(m.S0, c.K), max(m.S0, c.K)
-        if c.N <= 0:
-            raise ValueError("default grid needs N > 0; pass an explicit GridSpec")
-        return cls(lo - width, hi + width, n_S,
-                   -0.1 * c.N, 1.1 * c.N, n_q,
-                   max(1, round(steps_per_day * c.T)))
+        edges = {"S_min": min(m.S0, c.K) - width, "S_max": max(m.S0, c.K) + width,
+                 "q_min": -0.1 * c.N, "q_max": 1.1 * c.N}
+        return cls(n_S=n_S, n_q=n_q, n_t=max(1, round(steps_per_day * c.T)),
+                   **{**edges, **bounds})
 
     @property
     def S(self) -> np.ndarray:

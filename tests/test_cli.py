@@ -134,6 +134,13 @@ def test_invalid_field_value_reports_config_error(tmp_path, capsys):
     ("price", "solver", "pde", {"n_q": float("inf")}),
     ("price", "solver", "pde", {"steps_per_day": float("inf")}),
     ("price", "solver", "pde", {"cfl_safety": 0.0}),
+    ("price", "solver", "pde", {"steps_per_day": -3}),
+    ("price", "solver", "pde", {"steps_per_day": 0}),
+    ("price", "solver", "pde", {"q_min": 0.0, "q_max": 0.0}),  # empty q range
+    ("price", "market", "volume", {"starts": [float("nan"), 2.0],
+                                   "values": [4e6, 2e6]}),
+    ("simulate", "market", "volume", {"starts": [0.0, 2.0],  # no volume
+                                      "values": [4e6, 0.0]}),  # to liquidate
 ])
 def test_bad_values_exit_with_config_error(tmp_path, capsys, command,
                                            section, key, value):
@@ -285,6 +292,17 @@ def test_simulate_policy_keeps_explicit_pde_bounds(tmp_path, capsys):
         f"{st.exec_cost_mean:.10g},{st.n},{st.seed}")
 
 
+def test_simulate_zero_volume_interval_is_numerical_failure(tmp_path, capsys):
+    # trading cost V*L(v/V) is 0/0 on a zero-volume interval
+    cfg = reference_dict(simulation={"n_paths": 20, "n_obs": 5, "M": [4],
+                                     "strategies": ["delta"]})
+    cfg["market"]["volume"] = {"starts": [0.0, 2.0], "values": [0.0, 2e6]}
+    cfg["contract"]["T"] = 4.0
+    code = main(["simulate", "--config", write(tmp_path, cfg)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
 def test_simulate_rejects_permanent_impact(tmp_path, capsys):
     cfg = sim_dict()
     cfg["market"]["k"] = 1e-7
@@ -365,7 +383,8 @@ FUZZ_COMMANDS = (
     ("simulate",), ("simulate", "--engine", "tree"),
     ("sweep", "--param", "k", "--values", "0,1e-7"),
 )
-MUTATIONS = ("wrong type", "nan", "+inf", "-inf", "negative", "empty", "missing")
+MUTATIONS = ("wrong type", "nan", "+inf", "-inf", "negative", "zero", "empty",
+             "missing")
 
 
 def leaf_paths(node, prefix=()):
@@ -397,6 +416,8 @@ def mutated(path, how):
         new = float(how)
     elif how == "negative":
         new = -abs(old) if isinstance(old, (int, float)) and old else -1
+    elif how == "zero":
+        new = 0
     else:
         new = type(old)() if isinstance(old, (str, list, dict)) else None
     holder[key] = new

@@ -253,6 +253,16 @@ def test_payoff_penalty_override():
     assert terminal_payoff(1e7, 47.0, p) == pytest.approx(4e7)
 
 
+def test_closed_form_penalty_needs_final_volume():
+    base = make_reference_payoff()
+    market = MarketParams(S0=45.0, sigma=0.6, rho_max=5.0,
+                          volume=VolumeCurve([0.0, 2.0], [4e6, 0.0]))
+    with pytest.raises(ValueError):
+        PayoffSpec(base.contract, market, base.cost)
+    # an explicit penalty does not liquidate at the market's volume
+    PayoffSpec(base.contract, market, base.cost, penalty=np.abs)
+
+
 def test_payoff_terminal_with_impact_pinned():
     # k > 0 terminal on the shifted price axis S_tilde; frozen values
     contract = OptionContract(K=45.0, T=63.0, N=2e7, gamma=2e-7, q0=1e7)
@@ -328,6 +338,9 @@ def test_volume_curve():
         VolumeCurve([0.0, 0.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         VolumeCurve([0.0], [-1.0])
+    for starts in ([float("nan"), 2.0], [float("nan")], [0.0, float("inf")]):
+        with pytest.raises(ValueError):
+            VolumeCurve(starts, [1.0] * len(starts))
 
 
 def test_rescale_nominal_mapping():

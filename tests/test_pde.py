@@ -202,6 +202,8 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(40.0, 50.0, 2, 0.0, 1.0, 5, 4)
     with pytest.raises(ValueError):
+        GridSpec(40.0, 50.0, 11, 0.0, 0.0, 5, 4)
+    with pytest.raises(ValueError):
         SchemeConfig(order="BAC")
     with pytest.raises(ValueError):
         SchemeConfig(n_controls=40)
@@ -210,6 +212,21 @@ def test_grid_validation():
             SchemeConfig(cfl_safety=bad)
     with pytest.raises(ValueError):
         GridSpec.default(reference_payoff(N=0.0, q0=0.0))
+
+
+def test_default_grid_takes_each_given_bound_and_any_positive_step_rate():
+    pay = reference_payoff(T=4.0)
+    base = GridSpec.default(pay, n_S=21, n_q=11)
+    g = GridSpec.default(pay, n_S=21, n_q=11, S_min=40.0, q_max=3e7)
+    assert (g.S_min, g.S_max, g.q_min, g.q_max) == (40.0, base.S_max, base.q_min, 3e7)
+    assert GridSpec.default(pay, steps_per_day=2.5).n_t == 10
+    assert GridSpec.default(pay, steps_per_day=0.01).n_t == 1
+    for bad in (0.0, -3.0, float("nan")):
+        with pytest.raises(ValueError):
+            GridSpec.default(pay, steps_per_day=bad)
+    # with N = 0 only the q bounds need to be given
+    flat = reference_payoff(T=4.0, N=0.0, q0=0.0)
+    assert GridSpec.default(flat, q_min=-1e6, q_max=1e6).q_max == 1e6
 
 
 def test_solves_permanent_impact_pinned():
