@@ -323,7 +323,7 @@ def cmd_simulate(cfg: RunConfig, args) -> str:
     def add(run, *args):
         try:
             st = run(pay, *args)
-        except ValueError as e:  # e.g. a NaN cost from a zero-volume interval
+        except ValueError as e:  # e.g. the delta ladder on a zero-volume interval
             raise NumericalError(str(e))
         rows.append(f"{st.strategy},{st.M},{st.mean_cost:.10g},"
                     f"{st.var_cost:.10g},{st.exec_cost_mean:.10g},"

@@ -332,7 +332,7 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
     for n in range(grid.n_t - 1, -1, -1):
         tau_new = c.T - n * dt
         coef = c.gamma * m.sigma**2 * math.exp(m.r * tau_new)
-        V = float(m.volume.at((n + 1) * dt))
+        V = float(m.volume.at(n * dt))  # [t_n, t_{n+1}) trades against V(t_n)
 
         theta = _step_A(theta, ab, source)
         check("A", n, theta)

@@ -103,22 +103,47 @@ def _twap_matrix(S: np.ndarray, sigma: float, dt: float, seed: int) -> np.ndarra
     return 0.5 * (S[:, :-1] + S[:, 1:]) + sigma * math.sqrt(dt / 12.0) * noise
 
 
-def _settle(payoff: PayoffSpec, q_T, S_T, X_T, exec_paid):
-    cost = payoff.terminal(q_T, S_T) - X_T - q_T * S_T
-    return cost, exec_paid
+def _hedge(payoff: PayoffSpec, S: np.ndarray, seed: int, q0, trade, per: float,
+           charge: bool = True):
+    """The cash recursion both strategies share; returns (cash, q, fees).
+
+    Over each interval [t_i, t_{i+1}) of the paths S the strategy, holding
+    q, trades x = trade(i, q) shares per `per` days at constant speed: cash
+    compounds, the x*dt/per shares fill at the interval's TWAP and, with
+    `charge`, pay the fee V*dt*L(x/(V*per)) against the volume V = V(t_i)
+    at the interval's start, as in both solvers. An interval on which no
+    path trades pays nothing; trading on a zero-volume one raises.
+    """
+    m = payoff.market
+    steps = S.shape[1] - 1
+    dt = payoff.contract.T / steps
+    twap = _twap_matrix(S, m.sigma, dt, seed)
+    growth = math.exp(m.r * dt)
+    q = q0
+    X = -q0 * S[:, 0]
+    exec_paid = np.zeros(S.shape[0])
+    for i in range(steps):
+        x = trade(i, q)
+        fee = 0.0
+        if charge and np.any(x != 0):
+            V = m.volume.at(i * dt)
+            if V == 0:
+                raise ValueError(f"trade on the zero-volume interval "
+                                 f"[{i * dt:g}, {(i + 1) * dt:g})")
+            fee = V * dt * payoff.cost(x / (V * per))
+            exec_paid += fee
+        X = X * growth - x * (dt / per) * twap[:, i] - fee
+        q = q + x * (dt / per)
+    return X, q, exec_paid
 
 
-def _stats(strategy: str, M: int, cfg: PathConfig, cost, exec_paid,
-           keep=None) -> PnLStats:
-    if keep is not None:
-        excluded = int(len(cost) - keep.sum())
-        cost, exec_paid = cost[keep], exec_paid[keep]
-    else:
-        excluded = 0
+def _stats(strategy: str, M: int, cfg: PathConfig, payoff: PayoffSpec,
+           q_T, S_T, X_T, exec_paid, keep=slice(None)) -> PnLStats:
+    cost = (payoff.terminal(q_T, S_T) - X_T - q_T * S_T)[keep]
     return PnLStats(strategy, M, float(np.mean(cost)),
                     float(np.var(cost, ddof=1)) if len(cost) > 1 else 0.0,
-                    float(np.mean(exec_paid)), int(len(cost)), cfg.seed,
-                    excluded)
+                    float(np.mean(exec_paid[keep])), len(cost), cfg.seed,
+                    len(X_T) - len(cost))
 
 
 def run_delta_hedge(payoff: PayoffSpec, cfg: PathConfig,
@@ -129,7 +154,9 @@ def run_delta_hedge(payoff: PayoffSpec, cfg: PathConfig,
     delta difference is worked at constant speed over the following
     interval and filled at that interval's TWAP; the last interval only
     completes the previous difference, so q_T carries the one-period lag.
-    The participation cap is deliberately not applied to the benchmark.
+    The participation cap is deliberately not applied to the benchmark, so
+    with exec_costs it raises ValueError where it trades on a zero-volume
+    interval.
     """
     if cfg.M is None:
         raise ValueError("PathConfig.M is required for the delta hedge")
@@ -137,40 +164,20 @@ def run_delta_hedge(payoff: PayoffSpec, cfg: PathConfig,
     if m.k != 0.0:
         raise ValueError("the benchmark comparison is defined for k = 0")
     M = cfg.M
-    T = c.T
-    dt = T / M
-    S = simulate_price_paths(m, cfg, T, n_obs=M + 1)
-
-    t = dt * np.arange(M)
-    tau = T - t
+    dt = c.T / M
+    S = simulate_price_paths(m, cfg, c.T, n_obs=M + 1)
     delta = np.empty((cfg.n_paths, M))
     for i in range(M):
-        delta[:, i] = bachelier_delta(S[:, i], c.K, m.sigma, tau[i])
-    q_path = c.N * delta  # q over (t_1 .. t_M], lagged by one interval
+        delta[:, i] = bachelier_delta(S[:, i], c.K, m.sigma, c.T - dt * i)
 
-    twap = _twap_matrix(S, m.sigma, dt, cfg.seed)
-    # shares traded over [t_i, t_{i+1}) for i = 1..M-1; none over [t_0, t_1)
-    traded = c.N * np.diff(delta, axis=1)
-    V = m.volume.final_value if m.volume.is_constant else None
+    def trade(i, q):
+        # the difference of deltas at t_{i-1} and t_i, worked over [t_i, t_{i+1})
+        return c.N * (delta[:, i] - delta[:, i - 1]) if i else 0.0
 
-    growth = math.exp(m.r * dt)
-    q0 = c.N * delta[:, 0]
-    X = -q0 * S[:, 0]
-    exec_paid = np.zeros(cfg.n_paths)
-    for i in range(M):
-        X = X * growth  # compound over [t_i, t_{i+1}); flows settle at the end
-        if i == 0:
-            continue
-        X -= traded[:, i - 1] * twap[:, i]
-        if exec_costs:
-            Vi = V if V is not None else m.volume.at(t[i])
-            fee = Vi * dt * payoff.cost(traded[:, i - 1] / (Vi * dt))
-            exec_paid += fee
-            X -= fee
-
-    q_T = q_path[:, -1]
-    cost, exec_paid = _settle(payoff, q_T, S[:, -1], X, exec_paid)
-    return _stats("delta", M, cfg, cost, exec_paid)
+    X, _, exec_paid = _hedge(payoff, S, cfg.seed, c.N * delta[:, 0], trade,
+                             per=dt, charge=exec_costs)
+    return _stats("delta", M, cfg, payoff, c.N * delta[:, -1], S[:, -1], X,
+                  exec_paid)
 
 
 def _policy_surface_lookup(surface: ThetaSurface, level: int, q, S, alive):
@@ -189,10 +196,7 @@ def _policy_tree_lookup(tv: TreeValue, level: int, q, S, alive):
     qg = tv.qgrid
     out = (q < qg[0] - 0.5 * tv.dq) | (q > qg[-1] + 0.5 * tv.dq)
     alive &= ~out
-    m = tv.payoff.market
-    step = m.sigma * math.sqrt(tv.config.dt) * tv.config.alpha
-    center = m.S0 + m.mu * tv.config.dt * j
-    node = np.clip(np.rint((S - center) / step).astype(int) + j, 0, 2 * j)
+    node = tv.node_index(j, S, strict=False)
     qi = np.clip(np.rint((q - qg[0]) / tv.dq).astype(int), 0, qg.size - 1)
     mult = tv.control_mult[j][node, qi]
     return mult * (tv.dq / tv.config.dt)
@@ -222,28 +226,15 @@ def run_policy_hedge(payoff: PayoffSpec, solution, cfg: PathConfig) -> PnLStats:
         raise ValueError("hedging runs on k = 0 problems; solve in shifted "
                          "coordinates and map prices outside the simulator")
     steps = cfg.n_obs - 1
-    dt = c.T / steps
     lookup = _resolve_lookup(solution, steps)
 
     S = simulate_price_paths(m, cfg, c.T)
-    twap = _twap_matrix(S, m.sigma, dt, cfg.seed)
-    V = m.volume.final_value if m.volume.is_constant else None
-
     alive = np.ones(cfg.n_paths, dtype=bool)
-    q = np.full(cfg.n_paths, float(c.q0))
-    X = -q * S[:, 0]
-    exec_paid = np.zeros(cfg.n_paths)
-    growth = math.exp(m.r * dt)
-    for i in range(steps):
-        v = lookup(solution, i, q, S[:, i], alive)
-        Vi = V if V is not None else m.volume.at(i * dt)
-        fee = Vi * dt * payoff.cost(v / Vi)
-        exec_paid += fee
-        X = X * growth - v * dt * twap[:, i] - fee
-        q = q + v * dt
-
-    cost, exec_paid = _settle(payoff, q, S[:, -1], X, exec_paid)
-    return _stats("policy", steps, cfg, cost, exec_paid, keep=alive)
+    X, q, exec_paid = _hedge(  # the policy trades in shares per day
+        payoff, S, cfg.seed, np.full(cfg.n_paths, float(c.q0)),
+        lambda i, q: lookup(solution, i, q, S[:, i], alive), per=1.0)
+    return _stats("policy", steps, cfg, payoff, q, S[:, -1], X, exec_paid,
+                  keep=alive)
 
 
 def policy_trajectory(payoff: PayoffSpec, solution, S, q0: Optional[float] = None):

@@ -10,6 +10,7 @@ step dq and trades move it by whole grid steps, so the Bellman recursion
             - (q+v*dt)*(mu*dt + sigma*sqrt(dt)*eps)
             + theta_{j+1}(q+v*dt, S_{j+1})))]
 
+(V = V(t_j), the volume at the start of the interval [t_j, t_{j+1}))
 reduces per level to one log-sum-exp over the three branches followed by a
 min-plus sweep over integer inventory shifts (`minplus.shift_min`, shared
 with the PDE trading substep). Expectations use max-subtracted log-sum-exp;
@@ -85,9 +86,7 @@ class TreeValue:
 
     def node_prices(self, j: int) -> np.ndarray:
         """Underlying values at level j (2j+1 nodes, ascending)."""
-        m = self.payoff.market
-        step = m.sigma * math.sqrt(self.config.dt) * self.config.alpha
-        return m.S0 + m.mu * j * self.config.dt + step * np.arange(-j, j + 1)
+        return _node_prices(self.payoff.market, self.config, j)
 
     def q_index(self, q: float) -> int:
         i = int(np.argmin(np.abs(self.qgrid - q)))
@@ -95,18 +94,27 @@ class TreeValue:
             raise ValueError(f"q={q} is not on the inventory grid")
         return i
 
-    def node_index(self, j: int, S: float, strict: bool = True) -> int:
-        """Level-j node whose price is (nearest to) S."""
+    def node_index(self, j: int, S, strict: bool = True):
+        """Level-j node whose price is S (strict) or nearest to S, with S
+        clipped to the level's range; S may be an array."""
         m = self.payoff.market
-        step = m.sigma * math.sqrt(self.config.dt) * self.config.alpha
-        p = (S - m.S0 - m.mu * j * self.config.dt) / step
-        pi = int(np.clip(round(p), -j, j))
-        if strict and abs(p - round(p)) > 1e-6:
+        drift, step = _lattice(m, self.config)
+        p = (np.asarray(S, dtype=float) - (m.S0 + drift * j)) / step
+        p_int = np.rint(p)
+        if strict and np.any(np.abs(p - p_int) > 1e-6):
             raise ValueError(f"S={S} is not a level-{j} tree node")
-        return pi + j
+        return np.clip(p_int.astype(int), -j, j) + j
 
-    def value(self, j: int, S: float, q: float) -> float:
-        return float(self.theta[j][self.node_index(j, S), self.q_index(q)])
+
+def _lattice(market, config: TreeConfig):
+    """Drift per level and node spacing: node p of level j, |p| <= j, is
+    at S0 + drift*j + step*p."""
+    return market.mu * config.dt, market.sigma * math.sqrt(config.dt) * config.alpha
+
+
+def _node_prices(market, config: TreeConfig, j: int) -> np.ndarray:
+    drift, step = _lattice(market, config)
+    return market.S0 + drift * j + step * np.arange(-j, j + 1)
 
 
 def _default_qgrid(payoff, config: TreeConfig):
@@ -168,15 +176,13 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig()):
             raise ValueError("q0 must lie on the inventory grid")
 
     gamma = c.gamma
-    sdt = m.sigma * math.sqrt(dt)
-    step = sdt * alpha
+    drift, step = _lattice(m, config)
     p_edge = 1.0 / (2.0 * alpha**2)
     p_mid = 1.0 - 1.0 / alpha**2
-    drift = m.mu * dt
     growth = math.expm1(m.r * dt)  # e^{r dt} - 1
 
     t_grid = dt * np.arange(J + 1)
-    leaf_S = m.S0 + drift * J + step * np.arange(-J, J + 1)
+    leaf_S = _node_prices(m, config, J)
     theta = [None] * (J + 1)
     ctrl = [None] * J
     theta[J] = np.asarray(payoff.terminal(qgrid[None, :], leaf_S[:, None]), dtype=float)
@@ -189,7 +195,7 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig()):
     for j in range(J - 1, -1, -1):
         kappa = math.exp(m.r * (J - j - 1) * dt)
         disc = math.exp(-m.r * (J - j) * dt)
-        V = float(m.volume.at((j + 1) * dt))
+        V = float(m.volume.at(j * dt))
         nxt = theta[j + 1]
         g = gamma * kappa
 
@@ -211,7 +217,7 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig()):
         best, bmult = shift_min(lse.T, costs)
         best, bmult = best.T, bmult.T
         if growth != 0.0:
-            S_nodes = m.S0 + drift * j + step * np.arange(-j, j + 1)
+            S_nodes = _node_prices(m, config, j)
             best = best + g * growth * (qgrid[None, :] * S_nodes[:, None])
         theta[j] = (disc / gamma) * best
         ctrl[j] = bmult

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -301,6 +302,25 @@ def test_simulate_zero_volume_interval_is_numerical_failure(tmp_path, capsys):
     code = main(["simulate", "--config", write(tmp_path, cfg)])
     assert code == 3
     assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("engine", ["tree", "pde"])
+def test_simulate_policy_skips_zero_volume_interval(tmp_path, capsys, engine):
+    # solvers and simulator both charge [t_n, t_{n+1}) at V(t_n), so the
+    # policy trades nothing on [1, 2) and pays no fee there
+    cfg = reference_dict(
+        solver={"engine": engine, "tree": {"dt": 1.0},
+                "pde": {"steps_per_day": 1}},
+        simulation={"n_paths": 20, "n_obs": 5, "strategies": ["policy"]})
+    cfg["market"]["volume"] = {"starts": [0, 1, 2], "values": [4e6, 0, 4e6]}
+    cfg["contract"]["T"] = 4.0
+    code = main(["simulate", "--config", write(tmp_path, cfg)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    row = out.splitlines()[1].split(",")
+    assert row[0] == "policy"
+    assert all(math.isfinite(float(x)) for x in row[2:5])
 
 
 def test_simulate_rejects_permanent_impact(tmp_path, capsys):

@@ -173,6 +173,18 @@ def test_delta_hedge_determinism():
     assert run_delta_hedge(pay, cfg) == run_delta_hedge(pay, cfg)
 
 
+def test_delta_hedge_rejects_trading_on_zero_volume():
+    # the ladder ignores the cap, so it trades on [21, 42) where V = 0
+    pay = make_payoff()
+    market = MarketParams(S0=45.0, sigma=0.6, rho_max=5.0,
+                          volume=VolumeCurve([0.0, 21.0, 42.0], [4e6, 0.0, 4e6]))
+    pay = PayoffSpec(pay.contract, market, COST)
+    cfg = PathConfig(n_paths=20, seed=1, M=3)
+    with pytest.raises(ValueError, match=r"zero-volume interval \[21, 42\)"):
+        run_delta_hedge(pay, cfg)
+    assert run_delta_hedge(pay, cfg, exec_costs=False).exec_cost_mean == 0.0
+
+
 # ---------------------------------------------------------------------------
 # policy runner
 
@@ -216,6 +228,31 @@ def test_policy_hedge_hull_exits_are_excluded():
     assert 0 < st.excluded < cfg.n_paths
     assert st.n + st.excluded == cfg.n_paths
     assert st.var_cost >= 0.0
+
+
+def test_hedge_statistics_pinned():
+    # bit-for-bit regression of both runners on one small drifting,
+    # compounding problem: the delta ladder with and without fees, and the
+    # policy read off a tree and off a PDE surface (21x11 grid)
+    contract = OptionContract(K=45.0, T=4.0, N=2e7, gamma=2e-7, q0=1e7)
+    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0,
+                          mu=0.05 / 252, r=0.02 / 252)
+    pay = PayoffSpec(contract, market, ExecutionCost(0.1, 0.75, 0.01))
+    cfg = PathConfig(n_paths=200, n_obs=5, seed=1, M=4)
+    tv = solve_tree(pay, TreeConfig(dt=1.0, alpha=1.5, dq=1e5, q_min=0.0, q_max=2e7))
+    surf = solve_theta(pay, GridSpec(S_min=36.0, S_max=54.0, n_S=21, q_min=-2e6,
+                                     q_max=2.2e7, n_q=11, n_t=4))
+    assert run_delta_hedge(pay, cfg) == PnLStats(
+        "delta", 4, 12803213.836179059, 24501810246417.33, 1353167.052648426,
+        200, 1, 0)
+    assert run_delta_hedge(pay, cfg, exec_costs=False) == PnLStats(
+        "delta", 4, 11449946.609586935, 21502663025306.258, 0.0, 200, 1, 0)
+    assert run_policy_hedge(pay, tv, cfg) == PnLStats(
+        "policy", 4, 12467088.19831173, 23736363758553.637, 945433.4612244987,
+        200, 1, 0)
+    assert run_policy_hedge(pay, surf, cfg) == PnLStats(
+        "policy", 4, 12489605.244971642, 22414315611114.11, 608086.0358853298,
+        200, 1, 0)
 
 
 # ---------------------------------------------------------------------------
