@@ -299,7 +299,7 @@ def cmd_hedge(cfg: RunConfig, args) -> str:
     except ValueError as e:
         raise NumericalError(str(e))
     v_full = np.append(v, 0.0)
-    S_obs = sol.observed_price(S, q)
+    S_obs = pay.observed_price(S, q)
     cols = "t,S,q_model,q_bachelier_delta,v_model" + (",S_tilde" if m.k else "")
     tau = np.maximum(c.T - t, 0.0)
     q_delta = c.N * bachelier_delta(S_obs, c.K, m.sigma, tau)

@@ -5,13 +5,12 @@ solves the same equation as the k = 0 problem in the shifted coordinate
 S_tilde = S - k(q - q0); only the terminal condition changes, and
 `model.terminal_payoff` evaluates it on that axis for every k. Both engines
 therefore solve a plain `PayoffSpec` unmodified. The observed price is
-recovered along paths as S = S_tilde + k(q - q0).
+recovered along paths as S = S_tilde + k(q - q0) by
+`PayoffSpec.observed_price`.
 """
 
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .model import PayoffSpec
 from .pde import GridSpec, SchemeConfig, solve_theta
@@ -22,15 +21,8 @@ __all__ = ["ImpactSolution", "solve_with_impact"]
 
 @dataclass
 class ImpactSolution:
-    engine: str
-    payoff: PayoffSpec
     solution: object  # ThetaSurface or TreeValue, in S_tilde coordinates
     price: float
-
-    def observed_price(self, S_tilde, q):
-        """Map solver coordinates back to the quoted price."""
-        k, q0 = self.payoff.market.k, self.payoff.contract.q0
-        return np.asarray(S_tilde, dtype=float) + k * (np.asarray(q, dtype=float) - q0)
 
 
 def solve_with_impact(payoff: PayoffSpec, engine: str = "pde",
@@ -48,6 +40,6 @@ def solve_with_impact(payoff: PayoffSpec, engine: str = "pde",
     if engine == "pde":
         surf = solve_theta(payoff, grid if grid is not None else GridSpec.default(payoff),
                            scheme if scheme is not None else SchemeConfig())
-        return ImpactSolution("pde", payoff, surf, surf.price(0.0, c.q0, m.S0))
+        return ImpactSolution(surf, surf.price(0.0, c.q0, m.S0))
     tv = solve_tree(payoff, config if config is not None else TreeConfig())
-    return ImpactSolution("tree", payoff, tv, price_with_initial_exchange(tv))
+    return ImpactSolution(tv, price_with_initial_exchange(tv))

@@ -370,6 +370,11 @@ class PayoffSpec:
         """Pi on the broadcast of q and S; S is the engines' price axis."""
         return terminal_payoff(q, S, self)
 
+    def observed_price(self, S, q):
+        """Quoted price S + k*(q - q0) at the engines' price S (S_tilde) and
+        inventory q (broadcasting arrays); S itself when k = 0."""
+        return S + self.market.k * (q - self.contract.q0)
+
 
 def terminal_payoff(q, S, payoff: PayoffSpec):
     """Terminal cost Pi(q, S) at maturity, S on the engines' price axis.
@@ -393,7 +398,7 @@ def terminal_payoff(q, S, payoff: PayoffSpec):
     q = np.asarray(q, dtype=float)
     S = np.asarray(S, dtype=float)
     qb, Sb = np.broadcast_arrays(q, S)
-    S_obs = Sb + k * (qb - c.q0)
+    S_obs = payoff.observed_price(Sb, qb)
     intrinsic = c.N * np.maximum(S_obs - c.K, 0.0)
     if c.settlement == "cash":
         out = intrinsic + payoff.liquidation(qb)
@@ -410,6 +415,19 @@ def terminal_payoff(q, S, payoff: PayoffSpec):
 # ---------------------------------------------------------------------------
 
 
+def _bachelier_d(S, K, sigma, tau):
+    """(S, sq, d) as float arrays: sq = sigma*sqrt(tau), and d = (S-K)/sq
+    where sq > 0, 0 elsewhere."""
+    S = np.asarray(S, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 0):
+        raise ValueError("tau must be >= 0")
+    sq = sigma * np.sqrt(tau)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(sq > 0, (S - K) / np.where(sq > 0, sq, 1.0), 0.0)
+    return S, sq, d
+
+
 def bachelier_price(S, K, sigma, tau):
     """Call price under arithmetic Brownian dynamics with r = 0.
 
@@ -417,13 +435,7 @@ def bachelier_price(S, K, sigma, tau):
 
     tau = 0 returns the intrinsic value (S-K)+.
     """
-    S = np.asarray(S, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("tau must be >= 0")
-    sq = sigma * np.sqrt(tau)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(sq > 0, (S - K) / np.where(sq > 0, sq, 1.0), 0.0)
+    S, sq, d = _bachelier_d(S, K, sigma, tau)
     live = (S - K) * norm.cdf(d) + sq * norm.pdf(d)
     out = np.where(sq > 0, live, np.maximum(S - K, 0.0))
     return float(out) if out.ndim == 0 else out
@@ -431,13 +443,7 @@ def bachelier_price(S, K, sigma, tau):
 
 def bachelier_delta(S, K, sigma, tau):
     """Hedge ratio Phi((S-K)/(sigma*sqrt(tau))); 1_{S>=K} at tau = 0."""
-    S = np.asarray(S, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("tau must be >= 0")
-    sq = sigma * np.sqrt(tau)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(sq > 0, (S - K) / np.where(sq > 0, sq, 1.0), 0.0)
+    S, sq, d = _bachelier_d(S, K, sigma, tau)
     out = np.where(sq > 0, norm.cdf(d), (S >= K).astype(float))
     return float(out) if out.ndim == 0 else out
 

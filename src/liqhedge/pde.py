@@ -58,6 +58,9 @@ class GridSpec:
     n_t: int
 
     def __post_init__(self):
+        for name in ("S_min", "S_max", "q_min", "q_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.S_max > self.S_min):
             raise ValueError("need S_max > S_min")
         if not (self.q_max > self.q_min):
@@ -165,6 +168,14 @@ class ThetaSurface:
     def policy(self, t: float, q, S):
         """Interpolated optimal trading speed (shares/day) at (t, q, S)."""
         return self._bilinear(self.control[self.level_of(t)], q, S)
+
+    def policy_speeds(self, level: int, q, S, alive):
+        """Speeds (shares/day) at each path's (q, S), clipped to the grid, on
+        time level `level`; clears `alive` where (q, S) is off the grid."""
+        g = self.grid
+        alive &= ~((q < g.q_min) | (q > g.q_max) | (S < g.S_min) | (S > g.S_max))
+        return self._bilinear(self.control[level], np.clip(q, g.q_min, g.q_max),
+                              np.clip(S, g.S_min, g.S_max))
 
 
 def _build_banded_A(grid: GridSpec, market, dt: float) -> np.ndarray:

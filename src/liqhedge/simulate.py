@@ -18,8 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .model import PayoffSpec, bachelier_delta
-from .pde import ThetaSurface
-from .tree import TreeValue
 
 __all__ = [
     "PathConfig",
@@ -180,38 +178,12 @@ def run_delta_hedge(payoff: PayoffSpec, cfg: PathConfig,
                   exec_paid)
 
 
-def _policy_surface_lookup(surface: ThetaSurface, level: int, q, S, alive):
-    g = surface.grid
-    out = (q < g.q_min) | (q > g.q_max) | (S < g.S_min) | (S > g.S_max)
-    alive &= ~out
-    qc = np.clip(q, g.q_min, g.q_max)
-    Sc = np.clip(S, g.S_min, g.S_max)
-    return surface.policy(surface.t_grid[level], qc, Sc)
-
-
-def _policy_tree_lookup(tv: TreeValue, level: int, q, S, alive):
-    # nearest lattice node; S is clipped to the level's node range, q-exits
-    # kill the path
-    j = min(level, tv.J - 1)
-    qg = tv.qgrid
-    out = (q < qg[0] - 0.5 * tv.dq) | (q > qg[-1] + 0.5 * tv.dq)
-    alive &= ~out
-    node = tv.node_index(j, S, strict=False)
-    qi = np.clip(np.rint((q - qg[0]) / tv.dq).astype(int), 0, qg.size - 1)
-    mult = tv.control_mult[j][node, qi]
-    return mult * (tv.dq / tv.config.dt)
-
-
-def _resolve_lookup(solution, steps: int):
-    if isinstance(solution, ThetaSurface):
-        if solution.grid.n_t != steps:
-            raise ValueError("surface time grid must match the path grid")
-        return _policy_surface_lookup
-    if isinstance(solution, TreeValue):
-        if solution.J != steps:
-            raise ValueError("tree levels must match the path grid")
-        return _policy_tree_lookup
-    raise TypeError("solution must be a ThetaSurface or TreeValue")
+def _check_solution(solution, steps: int):
+    """Raise unless `solution` is a solved engine output on `steps` steps."""
+    if not hasattr(solution, "policy_speeds"):
+        raise TypeError("solution must be a ThetaSurface or TreeValue")
+    if solution.t_grid.size - 1 != steps:
+        raise ValueError("solution time grid must match the path grid")
 
 
 def run_policy_hedge(payoff: PayoffSpec, solution, cfg: PathConfig) -> PnLStats:
@@ -226,13 +198,13 @@ def run_policy_hedge(payoff: PayoffSpec, solution, cfg: PathConfig) -> PnLStats:
         raise ValueError("hedging runs on k = 0 problems; solve in shifted "
                          "coordinates and map prices outside the simulator")
     steps = cfg.n_obs - 1
-    lookup = _resolve_lookup(solution, steps)
+    _check_solution(solution, steps)
 
     S = simulate_price_paths(m, cfg, c.T)
     alive = np.ones(cfg.n_paths, dtype=bool)
     X, q, exec_paid = _hedge(  # the policy trades in shares per day
         payoff, S, cfg.seed, np.full(cfg.n_paths, float(c.q0)),
-        lambda i, q: lookup(solution, i, q, S[:, i], alive), per=1.0)
+        lambda i, q: solution.policy_speeds(i, q, S[:, i], alive), per=1.0)
     return _stats("policy", steps, cfg, payoff, q, S[:, -1], X, exec_paid,
                   keep=alive)
 
@@ -248,13 +220,13 @@ def policy_trajectory(payoff: PayoffSpec, solution, S, q0: Optional[float] = Non
     S = np.asarray(S, dtype=float)
     steps = S.size - 1
     dt = payoff.contract.T / steps
-    lookup = _resolve_lookup(solution, steps)
+    _check_solution(solution, steps)
     q = np.empty(S.size)
     v = np.empty(steps)
     q[0] = payoff.contract.q0 if q0 is None else q0
     alive = np.ones(1, dtype=bool)
     for i in range(steps):
-        vi = lookup(solution, i, q[i:i + 1], S[i:i + 1], alive)
+        vi = solution.policy_speeds(i, q[i:i + 1], S[i:i + 1], alive)
         if not alive[0]:
             raise ValueError(f"path leaves the solution hull at step {i}")
         v[i] = float(vi[0])

@@ -105,6 +105,16 @@ class TreeValue:
             raise ValueError(f"S={S} is not a level-{j} tree node")
         return np.clip(p_int.astype(int), -j, j) + j
 
+    def policy_speeds(self, level: int, q, S, alive):
+        """Speeds (shares/day) at the nodes of level min(level, J-1) nearest
+        to each path's (q, S); clears `alive` where q is over dq/2 off-grid."""
+        j = min(level, self.J - 1)
+        qg = self.qgrid
+        alive &= ~((q < qg[0] - 0.5 * self.dq) | (q > qg[-1] + 0.5 * self.dq))
+        node = self.node_index(j, S, strict=False)
+        qi = np.clip(np.rint((q - qg[0]) / self.dq).astype(int), 0, qg.size - 1)
+        return self.control_mult[j][node, qi] * (self.dq / self.config.dt)
+
 
 def _lattice(market, config: TreeConfig):
     """Drift per level and node spacing: node p of level j, |p| <= j, is

@@ -142,6 +142,7 @@ def test_invalid_field_value_reports_config_error(tmp_path, capsys):
                                    "values": [4e6, 2e6]}),
     ("simulate", "market", "volume", {"starts": [0.0, 2.0],  # no volume
                                       "values": [4e6, 0.0]}),  # to liquidate
+    ("price", "solver", "pde", {"S_min": float("-inf")}),
 ])
 def test_bad_values_exit_with_config_error(tmp_path, capsys, command,
                                            section, key, value):

@@ -203,6 +203,12 @@ def test_grid_validation():
         GridSpec(40.0, 50.0, 2, 0.0, 1.0, 5, 4)
     with pytest.raises(ValueError):
         GridSpec(40.0, 50.0, 11, 0.0, 0.0, 5, 4)
+    for bad in (float("-inf"), float("inf")):
+        for field in ("S_min", "S_max", "q_min", "q_max"):
+            bounds = {"S_min": 40.0, "S_max": 50.0, "q_min": 0.0, "q_max": 1.0,
+                      field: bad}
+            with pytest.raises(ValueError, match=field):
+                GridSpec(n_S=11, n_q=5, n_t=4, **bounds)
     with pytest.raises(ValueError):
         SchemeConfig(order="BAC")
     with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from liqhedge.simulate import (
     wealth_decomposition_check,
     _twap_matrix,
 )
-from liqhedge.tree import TreeConfig, solve_tree
+from liqhedge.tree import TreeConfig, solve_tree, tree_policy
 
 COST = ExecutionCost(0.1, 0.75)
 
@@ -253,6 +253,50 @@ def test_hedge_statistics_pinned():
     assert run_policy_hedge(pay, surf, cfg) == PnLStats(
         "policy", 4, 12489605.244971642, 22414315611114.11, 608086.0358853298,
         200, 1, 0)
+
+
+def test_policy_speeds_read_both_engines():
+    # the per-path policy read the simulator calls: q outside either grid
+    # and S outside the PDE hull clear `alive`; the tree clips S to its
+    # nodes; inside, each engine returns its own scalar policy read
+    contract = OptionContract(K=45.0, T=4.0, N=2e7, gamma=2e-7, q0=1e7)
+    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0)
+    pay = PayoffSpec(contract, market, COST)
+    tv = solve_tree(pay, TreeConfig(dt=1.0, alpha=1.5, dq=1e5, q_min=0.0, q_max=2e7))
+    surf = solve_theta(pay, GridSpec(S_min=36.0, S_max=54.0, n_S=21, q_min=-2e6,
+                                     q_max=2.2e7, n_q=11, n_t=4))
+    level = 2
+
+    for sol in (tv, surf):
+        alive = np.ones(3, dtype=bool)
+        sol.policy_speeds(level, np.array([-3e6, 1e7, 2.3e7]), np.full(3, 45.0), alive)
+        np.testing.assert_array_equal(alive, [False, True, False])
+
+    S_out, q_mid = np.array([30.0, 45.0, 60.0]), np.full(3, 1e7)
+    alive = np.ones(3, dtype=bool)
+    surf.policy_speeds(level, q_mid, S_out, alive)
+    np.testing.assert_array_equal(alive, [False, True, False])
+    alive = np.ones(3, dtype=bool)
+    v = tv.policy_speeds(level, q_mid, S_out, alive)
+    assert alive.all()
+    nodes = tv.node_prices(level)
+    np.testing.assert_array_equal(
+        v, [tree_policy(tv, level, s, 1e7) for s in (nodes[0], 45.0, nodes[-1])])
+
+    q = np.array([0.0, 5e6, 1e7, 1.5e7, 2e7])
+    alive = np.ones(5, dtype=bool)
+    v = tv.policy_speeds(level, q, nodes, alive)
+    assert alive.all() and np.any(v != 0)
+    np.testing.assert_array_equal(
+        v, [tree_policy(tv, level, s, qi) for s, qi in zip(nodes, q)])
+    np.testing.assert_array_equal(tv.policy_speeds(tv.J, q, nodes, alive),
+                                  tv.policy_speeds(tv.J - 1, q, nodes, alive))
+
+    q, S = np.array([-2e6, 3.3e6, 1e7, 2.2e7]), np.array([36.0, 44.1, 47.3, 54.0])
+    alive = np.ones(4, dtype=bool)
+    v = surf.policy_speeds(level, q, S, alive)
+    assert alive.all() and np.any(v != 0)
+    np.testing.assert_array_equal(v, surf.policy(surf.t_grid[level], q, S))
 
 
 # ---------------------------------------------------------------------------
