@@ -6,9 +6,12 @@ each interval) or the model's optimal policy read off a solved surface,
 and accumulates the cost statistics: cost is -PnL, i.e. terminal payoff
 minus final mark-to-market wealth, excluding any premium received.
 
-Path generation is counter-based: path i draws from streams keyed
-(seed, i, purpose), so a path's randomness does not depend on how many
-paths are drawn or in which order they are processed.
+Path generation is counter-based: path i draws from numpy's
+`PCG64(SeedSequence((seed, i, purpose)))`, so a path's randomness does not
+depend on how many paths are drawn or in which order they are processed.
+Every path's PCG64 state is computed at once, by SeedSequence's hash and
+PCG64's seeding written over arrays of paths, and the draws are
+bit-identical to building each path's generator.
 """
 
 import math
@@ -67,15 +70,81 @@ class PnLStats:
             raise ValueError("variance must be nonnegative")
 
 
-def _rng(seed: int, path: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence((seed, path, stream))))
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(n: int) -> list:
+    """SeedSequence's coding of an int: little-endian 32-bit words, 0 as one."""
+    out = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        out.append(n & _MASK32)
+    return out
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hashmix, on uint32 arrays; the constant h is shared."""
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * mult & _MASK32
+        value = value * h
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _mix(x, y):
+    r = x * 0xCA01F9DD - y * 0x4973F715  # MIX_MULT_L, MIX_MULT_R
+    return r ^ (r >> 16)
+
+
+def _pcg64_states(seed: int, n_paths: int, stream: int):
+    """Yield PCG64's (state, inc) seeded by SeedSequence((seed, i, stream)).
+
+    numpy's SeedSequence (mix_entropy, then generate_state(4, uint64)) and
+    PCG64's srandom, with every path i < 2**32 a lane of uint32 arrays:
+    the hash constants do not depend on the entropy, so each lane follows
+    the scalar algorithm exactly. Both are covered by numpy's stream
+    compatibility policy (NEP 19).
+    """
+    def const(w):
+        return np.full(n_paths, w, dtype=np.uint32)
+
+    entropy = ([const(w) for w in _words(seed)]
+               + [np.arange(n_paths, dtype=np.uint32), const(stream)])
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)  # numpy's INIT_A, MULT_A
+    pool = [hashmix(entropy[k] if k < len(entropy) else const(0))
+            for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
+    w = [hashmix(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    seeds = np.stack([w[2 * j] | w[2 * j + 1] << np.uint64(32)
+                      for j in range(4)], axis=1)
+    for row in seeds:  # row by row: one path's Python ints alive at a time
+        s_hi, s_lo, q_hi, q_lo = row.tolist()
+        # srandom: state 0, step, add the initial state, step
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        yield ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
 
 
 def _normal_matrix(seed: int, n_paths: int, n: int, stream: int) -> np.ndarray:
+    """Row i: n standard normals of path i's (seed, i, stream) generator."""
+    gen = np.random.Generator(np.random.PCG64())
+    bitgen = gen.bit_generator
     out = np.empty((n_paths, n))
-    for i in range(n_paths):
-        out[i] = _rng(seed, i, stream).standard_normal(n)
+    for row, (state, inc) in zip(out, _pcg64_states(seed, n_paths, stream)):
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        gen.standard_normal(out=row)
     return out
 
 
@@ -138,6 +207,8 @@ def _hedge(payoff: PayoffSpec, S: np.ndarray, seed: int, q0, trade, per: float,
 def _stats(strategy: str, M: int, cfg: PathConfig, payoff: PayoffSpec,
            q_T, S_T, X_T, exec_paid, keep=slice(None)) -> PnLStats:
     cost = (payoff.terminal(q_T, S_T) - X_T - q_T * S_T)[keep]
+    if cost.size == 0:
+        raise ValueError("every path left the solution's hull")
     return PnLStats(strategy, M, float(np.mean(cost)),
                     float(np.var(cost, ddof=1)) if len(cost) > 1 else 0.0,
                     float(np.mean(exec_paid[keep])), len(cost), cfg.seed,
@@ -241,8 +312,10 @@ def wealth_decomposition_check(t_grid, S, q, v, market, cost, x0: float = 0.0):
     through each interval (flows frozen at the left endpoint). Right side:
     compounded initial mark-to-market plus the three integral terms, the
     time integrals taken with exact exponential weights and the Brownian
-    term with left-endpoint weights. Exact (zero residual) when v = 0 and
-    either r = 0 or sigma = mu = 0; O(dt) otherwise.
+    term with left-endpoint weights. Both sides charge the fee
+    V(t_i)*cost(v_i/V(t_i)), and nothing on an interval with v_i = 0, as the
+    simulator does. Exact (zero residual) when v = 0 and either r = 0 or
+    sigma = mu = 0; O(dt) otherwise.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -257,11 +330,15 @@ def wealth_decomposition_check(t_grid, S, q, v, market, cost, x0: float = 0.0):
     r, mu, sig = market.r, market.mu, market.sigma
     T, t0 = t_grid[-1], t_grid[0]
 
+    Vs = np.array([market.volume.at(ti) for ti in t_grid[:-1]])
+    fees = np.zeros(n)
+    trades = v != 0
+    fees[trades] = Vs[trades] * cost(v[trades] / Vs[trades])
+
     X = x0
     for i in range(n):
         dt = dts[i]
-        Vi = market.volume.at(t_grid[i])
-        flow = v[i] * S[i] + Vi * cost(v[i] / Vi)
+        flow = v[i] * S[i] + fees[i]
         w = (math.exp(r * dt) - 1.0) / r if r != 0.0 else dt
         X = X * math.exp(r * dt) - flow * w
     lhs = X + q[-1] * S[-1]
@@ -272,9 +349,8 @@ def wealth_decomposition_check(t_grid, S, q, v, market, cost, x0: float = 0.0):
     else:
         w_ds = dts
     dW = (np.diff(S) - mu * dts) / sig if sig > 0 else np.zeros(n)
-    Vs = np.array([market.volume.at(ti) for ti in t_grid[:-1]])
     integral = np.sum(q[:-1] * (mu - r * S[:-1]) * w_ds) \
         + np.sum(disc[:-1] * q[:-1] * sig * dW) \
-        - np.sum(Vs * cost(v / Vs) * w_ds)
+        - np.sum(fees * w_ds)
     rhs = math.exp(r * (T - t0)) * (x0 + q[0] * S[0] + integral)
     return lhs - rhs

@@ -306,6 +306,19 @@ def test_simulate_zero_volume_interval_is_numerical_failure(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_every_path_leaving_the_hull_is_numerical_failure(tmp_path, capsys):
+    cfg = reference_dict(
+        solver={"engine": "pde", "pde": {"S_min": 44.9, "S_max": 45.1,
+                                         "n_S": 5, "n_q": 9}},
+        simulation={"n_paths": 50, "n_obs": 64, "seed": 4,
+                    "strategies": ["policy"]})
+    code = main(["simulate", "--config", write(tmp_path, cfg)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure:")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("engine", ["tree", "pde"])
 def test_simulate_policy_skips_zero_volume_interval(tmp_path, capsys, engine):
     # solvers and simulator both charge [t_n, t_{n+1}) at V(t_n), so the

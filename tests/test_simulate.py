@@ -6,6 +6,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liqhedge.model import (
     ExecutionCost,
@@ -23,6 +25,7 @@ from liqhedge.simulate import (
     run_policy_hedge,
     simulate_price_paths,
     wealth_decomposition_check,
+    _normal_matrix,
     _twap_matrix,
 )
 from liqhedge.tree import TreeConfig, solve_tree, tree_policy
@@ -73,6 +76,25 @@ def test_price_paths_counter_seeding():
     np.testing.assert_array_equal(big, again)
     other = simulate_price_paths(market, PathConfig(n_paths=5, n_obs=10, seed=8), 63.0)
     assert not np.array_equal(big, other)
+
+
+SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]),
+                  st.integers(0, 2**32).map(lambda k: 2**64 + k),
+                  st.integers(0, 2**130))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, n_paths=st.integers(1, 40), n=st.integers(1, 300),
+       stream=st.sampled_from([0, 1]))
+def test_normal_matrix_matches_per_path_generators(seed, n_paths, n, stream):
+    # numpy's own construction, one generator per path, is the reference:
+    # a change in numpy's SeedSequence or PCG64 seeding must fail here
+    expected = np.array([
+        np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((seed, i, stream)))).standard_normal(n)
+        for i in range(n_paths)])
+    got = _normal_matrix(seed, n_paths, n, stream)
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +252,14 @@ def test_policy_hedge_hull_exits_are_excluded():
     assert st.var_cost >= 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_policy_hedge_raises_when_every_path_leaves_the_hull():
+    pay = make_payoff()
+    surf = solve_theta(pay, GridSpec(44.9, 45.1, 5, 0.0, 2e7, 9, 63))
+    with pytest.raises(ValueError, match="every path left"):
+        run_policy_hedge(pay, surf, PathConfig(n_paths=50, n_obs=64, seed=4))
+
+
 def test_hedge_statistics_pinned():
     # bit-for-bit regression of both runners on one small drifting,
     # compounding problem: the delta ladder with and without fees, and the
@@ -321,6 +351,14 @@ def test_wealth_identity_exact_when_not_trading():
     S2 = np.full(n + 1, 45.0)
     res = wealth_decomposition_check(t, S2, q, np.zeros(n), m2, cost, x0=3e6)
     assert abs(res) < 1e-5
+
+    # a zero-volume interval that does not trade pays nothing (no 0/0)
+    gap = VolumeCurve([0, 4, 6], [4e6, 0, 4e6])
+    m3 = MarketParams(S0=45.0, sigma=0.5, volume=gap, rho_max=5.0, mu=0.01)
+    t8 = np.linspace(0.0, 8.0, 17)
+    S8 = 45.0 + np.concatenate([[0.0], np.cumsum(rng.standard_normal(16))])
+    q8 = np.full(17, 1e7)
+    assert wealth_decomposition_check(t8, S8, q8, np.zeros(16), m3, cost) == 0.0
 
 
 def test_wealth_identity_residual_linear_in_dt():
