@@ -46,8 +46,8 @@ class PathConfig:
     M: Optional[int] = None  # rebalance count for the delta-hedge benchmark
 
     def __post_init__(self):
-        if self.n_paths < 1 or self.n_obs < 2:
-            raise ValueError("need n_paths >= 1 and n_obs >= 2")
+        if self.n_paths < 2 or self.n_obs < 2:
+            raise ValueError("need n_paths >= 2 and n_obs >= 2")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.M is not None and self.M < 2:
@@ -209,8 +209,10 @@ def _stats(strategy: str, M: int, cfg: PathConfig, payoff: PayoffSpec,
     cost = (payoff.terminal(q_T, S_T) - X_T - q_T * S_T)[keep]
     if cost.size == 0:
         raise ValueError("every path left the solution's hull")
-    return PnLStats(strategy, M, float(np.mean(cost)),
-                    float(np.var(cost, ddof=1)) if len(cost) > 1 else 0.0,
+    if cost.size == 1:
+        raise ValueError("one path stayed inside the solution's hull; "
+                         "a cost variance needs two")
+    return PnLStats(strategy, M, float(np.mean(cost)), float(np.var(cost, ddof=1)),
                     float(np.mean(exec_paid[keep])), len(cost), cfg.seed,
                     len(X_T) - len(cost))
 

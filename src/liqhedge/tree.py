@@ -67,8 +67,10 @@ class TreeConfig:
 class TreeValue:
     """Backward-induction output: per-level value and control arrays.
 
-    theta[j] has shape (2j+1, n_q); control_mult[j] holds the optimal trade
-    in units of dq (int), so v = control_mult * dq / dt shares/day.
+    theta[j] has shape (2j+1, n_q) and is a transposed view of the solver's
+    inventory-major (n_q, 2j+1) C-contiguous level array (no copy is made);
+    control_mult[j] is laid out the same way and holds the optimal trade in
+    units of dq (int), so v = control_mult * dq / dt shares/day.
     """
 
     def __init__(self, payoff, config, qgrid, theta, control_mult, t_grid):
@@ -195,7 +197,11 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig()):
     leaf_S = _node_prices(m, config, J)
     theta = [None] * (J + 1)
     ctrl = [None] * J
-    theta[J] = np.asarray(payoff.terminal(qgrid[None, :], leaf_S[:, None]), dtype=float)
+    # levels are computed inventory-major, (n_q, nodes) C-contiguous, so the
+    # min-plus sweep's shifted slices are contiguous; theta[j] and ctrl[j]
+    # are their transposed (nodes, n_q) views
+    nxt = np.asarray(payoff.terminal(qgrid[:, None], leaf_S[None, :]), dtype=float)
+    theta[J] = nxt.T
     if not np.all(np.isfinite(theta[J])):
         bad = np.argwhere(~np.isfinite(theta[J]))[0]
         raise FloatingPointError(f"non-finite terminal value at node {tuple(bad)}")
@@ -206,13 +212,12 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig()):
         kappa = math.exp(m.r * (J - j - 1) * dt)
         disc = math.exp(-m.r * (J - j) * dt)
         V = float(m.volume.at(j * dt))
-        nxt = theta[j + 1]
         g = gamma * kappa
 
         # expectation over the three branches, shared by every control
-        z_up = g * (nxt[2:, :] - qgrid[None, :] * d_up)
-        z_mid = g * (nxt[1:-1, :] - qgrid[None, :] * d_mid)
-        z_dn = g * (nxt[:-2, :] - qgrid[None, :] * d_dn)
+        z_up = g * (nxt[:, 2:] - qgrid[:, None] * d_up)
+        z_mid = g * (nxt[:, 1:-1] - qgrid[:, None] * d_mid)
+        z_dn = g * (nxt[:, :-2] - qgrid[:, None] * d_dn)
         zmax = np.maximum(np.maximum(z_up, z_mid), z_dn)
         lse = zmax + np.log(
             p_edge * np.exp(z_up - zmax)
@@ -224,13 +229,13 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig()):
         m_cap = int(math.floor(m.rho_max * V * dt / dq + 1e-9)) if (dq > 0 and V > 0) else 0
         m_cap = min(m_cap, nq - 1)
         costs = [g * V * dt * payoff.cost(mm * dq / (dt * V)) for mm in range(1, m_cap + 1)]
-        best, bmult = shift_min(lse.T, costs)
-        best, bmult = best.T, bmult.T
+        best, bmult = shift_min(lse, costs)
         if growth != 0.0:
             S_nodes = _node_prices(m, config, j)
-            best = best + g * growth * (qgrid[None, :] * S_nodes[:, None])
-        theta[j] = (disc / gamma) * best
-        ctrl[j] = bmult
+            best = best + g * growth * (qgrid[:, None] * S_nodes[None, :])
+        nxt = (disc / gamma) * best
+        theta[j] = nxt.T
+        ctrl[j] = bmult.T
         if not np.all(np.isfinite(theta[j])):
             bad = np.argwhere(~np.isfinite(theta[j]))[0]
             raise FloatingPointError(

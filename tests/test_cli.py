@@ -143,6 +143,7 @@ def test_invalid_field_value_reports_config_error(tmp_path, capsys):
     ("simulate", "market", "volume", {"starts": [0.0, 2.0],  # no volume
                                       "values": [4e6, 0.0]}),  # to liquidate
     ("price", "solver", "pde", {"S_min": float("-inf")}),
+    ("simulate", "simulation", "n_paths", 1),  # no sample variance
 ])
 def test_bad_values_exit_with_config_error(tmp_path, capsys, command,
                                            section, key, value):
@@ -316,6 +317,20 @@ def test_simulate_every_path_leaving_the_hull_is_numerical_failure(tmp_path, cap
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err.startswith("numerical failure:")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_one_path_inside_the_hull_is_numerical_failure(tmp_path, capsys):
+    # 2 of 3 paths leave the price hull; one cost has no sample variance
+    cfg = reference_dict(
+        solver={"engine": "pde", "pde": {"S_min": 42.0, "S_max": 48.0,
+                                         "n_S": 5, "n_q": 9}},
+        simulation={"n_paths": 3, "n_obs": 64, "seed": 3,
+                    "strategies": ["policy"]})
+    code = main(["simulate", "--config", write(tmp_path, cfg)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: one path stayed")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -42,12 +42,14 @@ def costs_for(draw, n):
 def problems(draw):
     n = draw(st.integers(1, 12))
     cols = draw(st.sampled_from([None, 1, 3]))
-    shape = (n,) if cols is None else (cols, n)
+    transposed = cols is not None and draw(st.booleans())
+    shape = (n,) if cols is None else (cols, n) if transposed else (n, cols)
     f = np.array(draw(st.lists(ints, min_size=int(np.prod(shape)),
                                max_size=int(np.prod(shape)))), dtype=float)
     f = f.reshape(shape)
-    if cols is not None:
-        f = f.T  # inventory on axis 0 of a transposed view, as in the tree
+    if transposed:
+        f = f.T  # inventory on axis 0 of a transposed view
+    # otherwise C-contiguous (n, cols), as both engines pass it
     return f, draw(costs_for(n))
 
 
@@ -74,3 +76,17 @@ def test_shift_min_tie_prefers_small_then_negative_shift():
     best, shift = shift_min(f, [0.5, 0.5])
     np.testing.assert_array_equal(best, [0.0, 0.5, 0.0, 0.5, 0.0])
     np.testing.assert_array_equal(shift, [0, -1, 0, -1, 0])
+
+
+def test_shift_min_tie_keeps_signed_zero():
+    # -0.0 + 0.0 is +0.0, which ties the -0.0 already held: the held value
+    # and its zero shift stay, sign included
+    f = np.array([[-0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])
+    best, shift = shift_min(f, [0.0])
+    np.testing.assert_array_equal(np.signbit(best), np.signbit(f))
+    np.testing.assert_array_equal(shift, 0)
+    # and a -0.0 candidate does not replace a held +0.0
+    f = np.array([0.0, -0.0])
+    best, shift = shift_min(f, [-0.0])
+    np.testing.assert_array_equal(np.signbit(best), [False, True])
+    np.testing.assert_array_equal(shift, 0)

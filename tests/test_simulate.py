@@ -128,6 +128,8 @@ def test_twap_fill_zero_length_interval_is_midpoint():
 def test_config_validation():
     with pytest.raises(ValueError):
         PathConfig(n_paths=0)
+    with pytest.raises(ValueError, match="n_paths >= 2"):
+        PathConfig(n_paths=1)  # a one-sample cost variance is undefined
     with pytest.raises(ValueError):
         PathConfig(n_obs=1)
     with pytest.raises(ValueError):
@@ -258,6 +260,16 @@ def test_policy_hedge_raises_when_every_path_leaves_the_hull():
     surf = solve_theta(pay, GridSpec(44.9, 45.1, 5, 0.0, 2e7, 9, 63))
     with pytest.raises(ValueError, match="every path left"):
         run_policy_hedge(pay, surf, PathConfig(n_paths=50, n_obs=64, seed=4))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_policy_hedge_raises_when_one_path_stays_in_the_hull():
+    # 2 of 3 paths leave the price hull [42, 48]; the one left has no
+    # sample variance, which used to be reported as 0
+    pay = make_payoff()
+    surf = solve_theta(pay, GridSpec(42.0, 48.0, 5, 0.0, 2e7, 9, 63))
+    with pytest.raises(ValueError, match="one path stayed"):
+        run_policy_hedge(pay, surf, PathConfig(n_paths=3, n_obs=64, seed=3))
 
 
 def test_hedge_statistics_pinned():
