@@ -124,6 +124,10 @@ def _simulation(M=(10, 20, 40, 80, 160), strategies=("delta", "policy"), **keys)
     for s in strategies:
         if s not in ("delta", "policy"):
             raise ValueError(f"unknown strategy '{s}'")
+    if not strategies:
+        raise ValueError("strategies is empty; the table would have no rows")
+    if "delta" in strategies and not M:
+        raise ValueError("M is empty; the delta strategy needs a rebalance count")
     return sim, list(M), list(strategies)
 
 

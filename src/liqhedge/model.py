@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy.special import ndtr
 from scipy.stats import norm
 
 __all__ = [
@@ -442,9 +443,14 @@ def bachelier_price(S, K, sigma, tau):
 
 
 def bachelier_delta(S, K, sigma, tau):
-    """Hedge ratio Phi((S-K)/(sigma*sqrt(tau))); 1_{S>=K} at tau = 0."""
+    """Hedge ratio Phi((S-K)/(sigma*sqrt(tau))); 1_{S>=K} at tau = 0.
+
+    S and tau broadcast, so one call prices a whole (paths, dates) ladder.
+    Phi is scipy's ndtr, the function norm.cdf evaluates, without
+    scipy.stats' per-call argument handling.
+    """
     S, sq, d = _bachelier_d(S, K, sigma, tau)
-    out = np.where(sq > 0, norm.cdf(d), (S >= K).astype(float))
+    out = np.where(sq > 0, ndtr(d), (S >= K).astype(float))
     return float(out) if out.ndim == 0 else out
 
 

@@ -142,12 +142,20 @@ class ThetaSurface:
         return n
 
     def _bilinear(self, arr2d: np.ndarray, q, S):
+        """Point read: raises unless every (q, S) is in the grid hull."""
         g = self.grid
         q = np.asarray(q, dtype=float)
         S = np.asarray(S, dtype=float)
-        if np.any(q < g.q_min - 1e-9) or np.any(q > g.q_max + 1e-9) or \
-           np.any(S < g.S_min - 1e-9) or np.any(S > g.S_max + 1e-9):
+        tol = 1e-9  # NaN fails both comparisons, so it fails the check
+        if not (np.all((q >= g.q_min - tol) & (q <= g.q_max + tol))
+                and np.all((S >= g.S_min - tol) & (S <= g.S_max + tol))):
             raise ValueError("query outside the grid hull")
+        out = self._interp(arr2d, q, S)
+        return float(out) if out.ndim == 0 else out
+
+    def _interp(self, arr2d: np.ndarray, q, S) -> np.ndarray:
+        """Bilinear interpolation of the level arr2d at (q, S) in the hull."""
+        g = self.grid
         dq = (g.q_max - g.q_min) / (g.n_q - 1)
         dS = (g.S_max - g.S_min) / (g.n_S - 1)
         x = np.clip((q - g.q_min) / dq, 0, g.n_q - 1)
@@ -155,11 +163,11 @@ class ThetaSurface:
         i = np.minimum(x.astype(int), g.n_q - 2)
         j = np.minimum(y.astype(int), g.n_S - 2)
         fx, fy = x - i, y - j
-        out = ((1 - fx) * (1 - fy) * arr2d[i, j]
-               + fx * (1 - fy) * arr2d[i + 1, j]
-               + (1 - fx) * fy * arr2d[i, j + 1]
-               + fx * fy * arr2d[i + 1, j + 1])
-        return float(out) if out.ndim == 0 else out
+        gx, gy = 1 - fx, 1 - fy
+        flat = arr2d.ravel()  # a view: a level of the C-ordered surface
+        k = i * g.n_S + j
+        return (gx * gy * flat.take(k) + fx * gy * flat.take(k + g.n_S)
+                + gx * fy * flat.take(k + 1) + fx * fy * flat.take(k + g.n_S + 1))
 
     def price(self, t: float, q, S):
         """Bilinear interpolation of theta at (t, q, S); t must be a level."""
@@ -174,8 +182,8 @@ class ThetaSurface:
         time level `level`; clears `alive` where (q, S) is off the grid."""
         g = self.grid
         alive &= ~((q < g.q_min) | (q > g.q_max) | (S < g.S_min) | (S > g.S_max))
-        return self._bilinear(self.control[level], np.clip(q, g.q_min, g.q_max),
-                              np.clip(S, g.S_min, g.S_max))
+        return self._interp(self.control[level], np.clip(q, g.q_min, g.q_max),
+                            np.clip(S, g.S_min, g.S_max))
 
 
 def _build_banded_A(grid: GridSpec, market, dt: float) -> np.ndarray:

@@ -9,9 +9,11 @@ minus final mark-to-market wealth, excluding any premium received.
 Path generation is counter-based: path i draws from numpy's
 `PCG64(SeedSequence((seed, i, purpose)))`, so a path's randomness does not
 depend on how many paths are drawn or in which order they are processed.
-Every path's PCG64 state is computed at once, by SeedSequence's hash and
-PCG64's seeding written over arrays of paths, and the draws are
-bit-identical to building each path's generator.
+Every path's PCG64 state is computed at once, by SeedSequence's hash in
+uint32 arrays and PCG64's seeding in 64-bit limbs, and one reused
+generator is set to each state in turn; the draws are bit-identical to
+building each path's generator. The delta ladder reads every rebalance
+date's Bachelier delta in one call.
 """
 
 import math
@@ -71,8 +73,11 @@ class PnLStats:
 
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_MULT_HI = np.uint64(0x2360ED051FC65DA4)  # PCG64's 128-bit multiplier
+_PCG64_MULT_LO = np.uint64(0x4385DF649FCCF645)
+# paths whose states are Python ints at one time: converting every path's
+# at once costs megabytes of peak memory
+_STATE_CHUNK = 512
 
 
 def _words(n: int) -> list:
@@ -100,14 +105,26 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
+def _mul64(x, y):
+    """(hi, lo) 64-bit limbs of the 128-bit products x*y of uint64 arrays."""
+    m32, s32 = np.uint64(_MASK32), np.uint64(32)
+    x0, x1, y0, y1 = x & m32, x >> s32, y & m32, y >> s32
+    p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
+    mid = (p00 >> s32) + (p01 & m32) + (p10 & m32)  # < 3 * 2**32
+    return (x1 * y1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32),
+            mid << s32 | p00 & m32)
+
+
 def _pcg64_states(seed: int, n_paths: int, stream: int):
-    """Yield PCG64's (state, inc) seeded by SeedSequence((seed, i, stream)).
+    """PCG64's (state, inc) seeded by SeedSequence((seed, i, stream)), as
+    (state_hi, state_lo, inc_hi, inc_lo) uint64 arrays over the paths i.
 
     numpy's SeedSequence (mix_entropy, then generate_state(4, uint64)) and
     PCG64's srandom, with every path i < 2**32 a lane of uint32 arrays:
     the hash constants do not depend on the entropy, so each lane follows
-    the scalar algorithm exactly. Both are covered by numpy's stream
-    compatibility policy (NEP 19).
+    the scalar algorithm exactly. srandom's 128-bit arithmetic runs in
+    64-bit limbs, where uint64 arrays wrap mod 2**64. Both algorithms are
+    covered by numpy's stream compatibility policy (NEP 19).
     """
     def const(w):
         return np.full(n_paths, w, dtype=np.uint32)
@@ -126,25 +143,40 @@ def _pcg64_states(seed: int, n_paths: int, stream: int):
             pool[dst] = _mix(pool[dst], hashmix(word))
     hashmix = _hasher(0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
     w = [hashmix(pool[k % 4]).astype(np.uint64) for k in range(8)]
-    seeds = np.stack([w[2 * j] | w[2 * j + 1] << np.uint64(32)
-                      for j in range(4)], axis=1)
-    for row in seeds:  # row by row: one path's Python ints alive at a time
-        s_hi, s_lo, q_hi, q_lo = row.tolist()
-        # srandom: state 0, step, add the initial state, step
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        yield ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+    s_hi, s_lo, q_hi, q_lo = (w[2 * j] | w[2 * j + 1] << np.uint64(32)
+                              for j in range(4))
+    # srandom: inc = 2*initseq + 1; from state 0, step, add the initial
+    # state, step: state = (inc + initstate)*MULT + inc, all mod 2**128
+    one = np.uint64(1)
+    inc_hi, inc_lo = q_hi << one | q_lo >> np.uint64(63), q_lo << one | one
+    a_lo = inc_lo + s_lo
+    a_hi = inc_hi + s_hi + (a_lo < inc_lo)
+    hi, lo = _mul64(a_lo, _PCG64_MULT_LO)
+    hi += a_hi * _PCG64_MULT_LO + a_lo * _PCG64_MULT_HI
+    lo += inc_lo
+    hi += inc_hi + (lo < inc_lo)
+    return hi, lo, inc_hi, inc_lo
 
 
 def _normal_matrix(seed: int, n_paths: int, n: int, stream: int) -> np.ndarray:
     """Row i: n standard normals of path i's (seed, i, stream) generator."""
     gen = np.random.Generator(np.random.PCG64())
     bitgen = gen.bit_generator
+    state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
+             "has_uint32": 0, "uinteger": 0}
+    pcg = state["state"]
+    # allocated before the seeding temporaries: allocated after them, the
+    # matrix raised the hedge table's peak RSS by about 2 MiB
     out = np.empty((n_paths, n))
-    for row, (state, inc) in zip(out, _pcg64_states(seed, n_paths, stream)):
-        bitgen.state = {"bit_generator": "PCG64",
-                        "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        gen.standard_normal(out=row)
+    limbs = _pcg64_states(seed, n_paths, stream)
+    for start in range(0, n_paths, _STATE_CHUNK):
+        chunk = slice(start, start + _STATE_CHUNK)
+        for row, s_hi, s_lo, i_hi, i_lo in zip(
+                out[chunk], *(limb[chunk].tolist() for limb in limbs)):
+            pcg["state"] = s_hi << 64 | s_lo
+            pcg["inc"] = i_hi << 64 | i_lo
+            bitgen.state = state
+            gen.standard_normal(out=row)
     return out
 
 
@@ -237,9 +269,7 @@ def run_delta_hedge(payoff: PayoffSpec, cfg: PathConfig,
     M = cfg.M
     dt = c.T / M
     S = simulate_price_paths(m, cfg, c.T, n_obs=M + 1)
-    delta = np.empty((cfg.n_paths, M))
-    for i in range(M):
-        delta[:, i] = bachelier_delta(S[:, i], c.K, m.sigma, c.T - dt * i)
+    delta = bachelier_delta(S[:, :M], c.K, m.sigma, c.T - dt * np.arange(M))
 
     def trade(i, q):
         # the difference of deltas at t_{i-1} and t_i, worked over [t_i, t_{i+1})

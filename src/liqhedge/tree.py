@@ -92,7 +92,8 @@ class TreeValue:
 
     def q_index(self, q: float) -> int:
         i = int(np.argmin(np.abs(self.qgrid - q)))
-        if abs(self.qgrid[i] - q) > 1e-6 * max(1.0, abs(q)) + 1e-9:
+        if not (math.isfinite(q)
+                and abs(self.qgrid[i] - q) <= 1e-6 * max(1.0, abs(q)) + 1e-9):
             raise ValueError(f"q={q} is not on the inventory grid")
         return i
 
@@ -103,7 +104,8 @@ class TreeValue:
         drift, step = _lattice(m, self.config)
         p = (np.asarray(S, dtype=float) - (m.S0 + drift * j)) / step
         p_int = np.rint(p)
-        if strict and np.any(np.abs(p - p_int) > 1e-6):
+        if strict and not (np.all(np.isfinite(p))
+                           and np.all(np.abs(p - p_int) <= 1e-6)):
             raise ValueError(f"S={S} is not a level-{j} tree node")
         return np.clip(p_int.astype(int), -j, j) + j
 

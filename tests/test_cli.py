@@ -144,6 +144,8 @@ def test_invalid_field_value_reports_config_error(tmp_path, capsys):
                                       "values": [4e6, 0.0]}),  # to liquidate
     ("price", "solver", "pde", {"S_min": float("-inf")}),
     ("simulate", "simulation", "n_paths", 1),  # no sample variance
+    ("simulate", "simulation", "strategies", []),  # a table with no rows
+    ("simulate", "simulation", "M", []),  # "delta" with no rebalance count
 ])
 def test_bad_values_exit_with_config_error(tmp_path, capsys, command,
                                            section, key, value):

@@ -5,6 +5,8 @@ liquidation penalty and the Bachelier price. Frozen values computed from
 those oracles are asserted alongside.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -194,6 +196,25 @@ def test_bachelier_tau_zero_conventions():
     assert bachelier_delta(47, 45, 0.6, 0.0) == 1.0
     assert bachelier_delta(45, 45, 0.6, 0.0) == 1.0   # S >= K convention
     assert bachelier_delta(43, 45, 0.6, 0.0) == 0.0
+
+
+def test_bachelier_delta_matrix_matches_columns_and_norm_cdf():
+    # one call over a (paths, dates) ladder, as the delta hedge makes it,
+    # equals a call per date and the norm.cdf formula bit for bit; the
+    # rows cover d = +0, d = -0 (S = -0 at K = 0), d = +-inf and tau = 0
+    S = 45.0 + 5.0 * np.random.default_rng(5).standard_normal((40, 5))
+    S[:4] = [[-0.0], [0.0], [np.inf], [-np.inf]]
+    S[4:8, :] = 45.0
+    tau = np.array([63.0, 10.0, 1.0, 1e-3, 0.0])  # the last column expires
+    for K in (45.0, 0.0):
+        got = bachelier_delta(S, K, 0.6, tau)
+        cols = np.stack([bachelier_delta(S[:, i], K, 0.6, t)
+                         for i, t in enumerate(tau)], axis=1)
+        ref = np.stack([norm.cdf((S[:, i] - K) / (0.6 * math.sqrt(t))) if t > 0
+                        else (S[:, i] >= K).astype(float)
+                        for i, t in enumerate(tau)], axis=1)
+        for want in (cols, ref):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_bachelier_negative_tau_rejected():

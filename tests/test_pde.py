@@ -171,6 +171,14 @@ def test_surface_queries(reference_surface):
     assert surf.price(0.0, 1e7, 45.0) == v
 
 
+def test_surface_point_reads_reject_nan(reference_surface):
+    surf = reference_surface
+    with pytest.raises(ValueError, match="hull"):
+        surf.price(0.0, math.nan, 45.0)
+    with pytest.raises(ValueError, match="hull"):
+        surf.policy(0.0, np.array([1e7, 1e7]), np.array([45.0, math.inf]))
+
+
 def test_terminal_level_matches_payoff(reference_surface):
     surf = reference_surface
     g = surf.grid

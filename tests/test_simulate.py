@@ -97,6 +97,18 @@ def test_normal_matrix_matches_per_path_generators(seed, n_paths, n, stream):
     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+def test_normal_matrix_crosses_state_chunks():
+    # 1100 paths take three chunks of Python-int states; rows on both sides
+    # of each chunk boundary must match their own generators
+    seed, n, stream = 2**33 + 9, 3, 1
+    expected = np.array([
+        np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((seed, i, stream)))).standard_normal(n)
+        for i in range(1100)])
+    got = _normal_matrix(seed, 1100, n, stream)
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # TWAP fills
 
@@ -339,6 +351,42 @@ def test_policy_speeds_read_both_engines():
     v = surf.policy_speeds(level, q, S, alive)
     assert alive.all() and np.any(v != 0)
     np.testing.assert_array_equal(v, surf.policy(surf.t_grid[level], q, S))
+
+
+@pytest.fixture(scope="module")
+def small_surface():
+    contract = OptionContract(K=45.0, T=4.0, N=2e7, gamma=2e-7, q0=1e7)
+    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0)
+    return solve_theta(PayoffSpec(contract, market, COST),
+                       GridSpec(S_min=36.0, S_max=54.0, n_S=21, q_min=-2e6,
+                                q_max=2.2e7, n_q=11, n_t=4))
+
+
+def grid_points(lo, hi):
+    """Both edges, points inside and points off either side."""
+    span = hi - lo
+    return st.one_of(st.sampled_from([lo, hi]),
+                     st.floats(lo - span, hi + span, allow_nan=False),
+                     st.sampled_from([-math.inf, math.inf]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), level=st.integers(0, 4))
+def test_policy_speeds_is_the_clipped_point_read(small_surface, data, level):
+    surf, g = small_surface, small_surface.grid
+    n = data.draw(st.integers(1, 12))
+    q = np.array(data.draw(st.lists(grid_points(g.q_min, g.q_max),
+                                    min_size=n, max_size=n)))
+    S = np.array(data.draw(st.lists(grid_points(g.S_min, g.S_max),
+                                    min_size=n, max_size=n)))
+    alive0 = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    alive = alive0.copy()
+    v = surf.policy_speeds(level, q, S, alive)
+    off = (q < g.q_min) | (q > g.q_max) | (S < g.S_min) | (S > g.S_max)
+    np.testing.assert_array_equal(alive, alive0 & ~off)
+    want = surf.policy(surf.t_grid[level], np.clip(q, g.q_min, g.q_max),
+                       np.clip(S, g.S_min, g.S_max))
+    np.testing.assert_array_equal(v.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

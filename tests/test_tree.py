@@ -219,6 +219,28 @@ def test_node_geometry(reference_tree):
         tv.node_index(3, 45.0 + 0.4 * tv.payoff.market.sigma)
 
 
+def test_q_index_rejects_nan(reference_tree):
+    with pytest.raises(ValueError, match="inventory grid"):
+        reference_tree.q_index(math.nan)
+
+
+def test_price_with_initial_exchange_rejects_nan(reference_tree):
+    with pytest.raises(ValueError, match="inventory grid"):
+        price_with_initial_exchange(reference_tree, math.nan)
+
+
+def test_tree_policy_rejects_infinite_inventory(reference_tree):
+    with pytest.raises(ValueError, match="inventory grid"):
+        tree_policy(reference_tree, 3, 45.0, math.inf)
+
+
+def test_tree_policy_rejects_nan_price(reference_tree):
+    with pytest.raises(ValueError, match="tree node"):
+        tree_policy(reference_tree, 3, math.nan, 1e7)
+    with pytest.raises(ValueError, match="tree node"):
+        reference_tree.node_index(3, np.array([45.0, math.inf]))
+
+
 def test_csv_dump(tmp_path, reference_tree):
     out = tmp_path / "tree.csv"
     dump_tree_csv(reference_tree, out, levels=[0, 1], metadata="unit-test")
