@@ -430,10 +430,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 3
-    except (FloatingPointError, np.linalg.LinAlgError) as e:
+    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     _emit(text, args.out)

@@ -22,7 +22,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import norm
 
 __all__ = [
     "VolumeCurve",
@@ -434,10 +433,13 @@ def bachelier_price(S, K, sigma, tau):
 
         C = (S-K)*Phi(d) + sigma*sqrt(tau)*pdf(d),  d = (S-K)/(sigma*sqrt(tau))
 
-    tau = 0 returns the intrinsic value (S-K)+.
+    tau = 0 returns the intrinsic value (S-K)+. Phi is ndtr and pdf is
+    exp(-d**2/2)/sqrt(2*pi), so C equals the norm.cdf/norm.pdf form bit for bit.
     """
     S, sq, d = _bachelier_d(S, K, sigma, tau)
-    live = (S - K) * norm.cdf(d) + sq * norm.pdf(d)
+    # -0.5*d**2 rounds as -d**2/2 does, and a NaN d keeps its sign, as in norm.pdf
+    pdf = np.exp(-0.5 * d**2) / math.sqrt(2.0 * math.pi)
+    live = (S - K) * ndtr(d) + sq * pdf
     out = np.where(sq > 0, live, np.maximum(S - K, 0.0))
     return float(out) if out.ndim == 0 else out
 
@@ -446,8 +448,7 @@ def bachelier_delta(S, K, sigma, tau):
     """Hedge ratio Phi((S-K)/(sigma*sqrt(tau))); 1_{S>=K} at tau = 0.
 
     S and tau broadcast, so one call prices a whole (paths, dates) ladder.
-    Phi is scipy's ndtr, the function norm.cdf evaluates, without
-    scipy.stats' per-call argument handling.
+    Phi is scipy's ndtr, as in bachelier_price.
     """
     S, sq, d = _bachelier_d(S, K, sigma, tau)
     out = np.where(sq > 0, ndtr(d), (S >= K).astype(float))

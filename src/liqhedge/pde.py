@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .minplus import shift_min
-from .model import optimal_rate
+from .model import _require_finite, optimal_rate
 
 __all__ = ["GridSpec", "SchemeConfig", "ThetaSurface", "solve_theta",
            "export_surface_csv"]
@@ -58,9 +58,7 @@ class GridSpec:
     n_t: int
 
     def __post_init__(self):
-        for name in ("S_min", "S_max", "q_min", "q_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _require_finite(self, "S_min", "S_max", "q_min", "q_max")
         if not (self.S_max > self.S_min):
             raise ValueError("need S_max > S_min")
         if not (self.q_max > self.q_min):
@@ -160,8 +158,9 @@ class ThetaSurface:
         dS = (g.S_max - g.S_min) / (g.n_S - 1)
         x = np.clip((q - g.q_min) / dq, 0, g.n_q - 1)
         y = np.clip((S - g.S_min) / dS, 0, g.n_S - 1)
-        i = np.minimum(x.astype(int), g.n_q - 2)
-        j = np.minimum(y.astype(int), g.n_S - 2)
+        # fmin sends a NaN to the last cell (its read is NaN), so no NaN is cast
+        i = np.fmin(x, g.n_q - 2).astype(int)
+        j = np.fmin(y, g.n_S - 2).astype(int)
         fx, fy = x - i, y - j
         gx, gy = 1 - fx, 1 - fy
         flat = arr2d.ravel()  # a view: a level of the C-ordered surface
@@ -179,9 +178,9 @@ class ThetaSurface:
 
     def policy_speeds(self, level: int, q, S, alive):
         """Speeds (shares/day) at each path's (q, S), clipped to the grid, on
-        time level `level`; clears `alive` where (q, S) is off the grid."""
+        time level `level`; clears `alive` where (q, S) is off the grid or NaN."""
         g = self.grid
-        alive &= ~((q < g.q_min) | (q > g.q_max) | (S < g.S_min) | (S > g.S_max))
+        alive &= (q >= g.q_min) & (q <= g.q_max) & (S >= g.S_min) & (S <= g.S_max)
         return self._interp(self.control[level], np.clip(q, g.q_min, g.q_max),
                             np.clip(S, g.S_min, g.S_max))
 

@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .minplus import shift_min
+from .model import _require_finite
 
 __all__ = ["TreeConfig", "TreeValue", "solve_tree", "tree_policy",
            "price_with_initial_exchange", "dump_tree_csv"]
@@ -52,10 +53,8 @@ class TreeConfig:
     q_max: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("dt", "alpha", "dq", "q_min", "q_max"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+        given = [n for n in ("dq", "q_min", "q_max") if getattr(self, n) is not None]
+        _require_finite(self, "dt", "alpha", *given)
         if not (self.dt > 0):
             raise ValueError("dt must be > 0")
         if not (self.alpha >= 1.0):
@@ -99,7 +98,7 @@ class TreeValue:
 
     def node_index(self, j: int, S, strict: bool = True):
         """Level-j node whose price is S (strict) or nearest to S, with S
-        clipped to the level's range; S may be an array."""
+        clipped to the level's range, NaN to the bottom; S may be an array."""
         m = self.payoff.market
         drift, step = _lattice(m, self.config)
         p = (np.asarray(S, dtype=float) - (m.S0 + drift * j)) / step
@@ -107,16 +106,18 @@ class TreeValue:
         if strict and not (np.all(np.isfinite(p))
                            and np.all(np.abs(p - p_int) <= 1e-6)):
             raise ValueError(f"S={S} is not a level-{j} tree node")
-        return np.clip(p_int.astype(int), -j, j) + j
+        return np.fmin(np.fmax(p_int, -j), j).astype(int) + j
 
     def policy_speeds(self, level: int, q, S, alive):
         """Speeds (shares/day) at the nodes of level min(level, J-1) nearest
-        to each path's (q, S); clears `alive` where q is over dq/2 off-grid."""
+        to each path's (q, S); clears `alive` where q is over dq/2 off-grid
+        or where q or S is NaN."""
         j = min(level, self.J - 1)
         qg = self.qgrid
-        alive &= ~((q < qg[0] - 0.5 * self.dq) | (q > qg[-1] + 0.5 * self.dq))
+        alive &= ((q >= qg[0] - 0.5 * self.dq) & (q <= qg[-1] + 0.5 * self.dq)
+                  & ~np.isnan(S))
         node = self.node_index(j, S, strict=False)
-        qi = np.clip(np.rint((q - qg[0]) / self.dq).astype(int), 0, qg.size - 1)
+        qi = np.fmin(np.fmax(np.rint((q - qg[0]) / self.dq), 0), qg.size - 1).astype(int)
         return self.control_mult[j][node, qi] * (self.dq / self.config.dt)
 
 
@@ -254,11 +255,11 @@ def price_with_initial_exchange(tv: TreeValue, q0: Optional[float] = None) -> fl
     return float(tv.theta[0][0, tv.q_index(q0)])
 
 
-def tree_policy(tv: TreeValue, j: int, S: float, q: float, strict: bool = True) -> float:
+def tree_policy(tv: TreeValue, j: int, S: float, q: float) -> float:
     """Optimal trading speed v (shares/day) at level j, node price S, inventory q."""
     if not 0 <= j < tv.J:
         raise ValueError("policy defined for 0 <= j < J")
-    node = tv.node_index(j, S, strict=strict)
+    node = tv.node_index(j, S)
     mult = tv.control_mult[j][node, tv.q_index(q)]
     return float(mult) * tv.dq / tv.config.dt
 

@@ -3,7 +3,8 @@
 Every number asserted here was either computed from a closed form in
 this repository or frozen after cross-validation of the two engines;
 tolerances are part of the contract and must not be loosened. The
-expensive solves are shared through module-scoped fixtures.
+expensive solves are shared through fixtures: the reference tree and PDE
+surface per session (conftest.py), the other solves per module.
 """
 
 import math
@@ -55,11 +56,6 @@ def tree_price(tv, q0=None):
 
 
 @pytest.fixture(scope="module")
-def tree_ref():
-    return solve_tree(ref_payoff(), TreeConfig())
-
-
-@pytest.fixture(scope="module")
 def tree_slow():
     # participation capped at 50% of market volume
     return solve_tree(ref_payoff(rho_max=0.5), TreeConfig())
@@ -82,12 +78,6 @@ def eta_trees():
 
 
 @pytest.fixture(scope="module")
-def pde_default():
-    pay = ref_payoff()
-    return solve_theta(pay, GridSpec.default(pay))
-
-
-@pytest.fixture(scope="module")
 def pde_matched():
     # same time step as the tree (0.25 days) and the same inventory
     # spacing (1e5 shares), with the price step halved
@@ -96,11 +86,11 @@ def pde_matched():
 
 
 @pytest.fixture(scope="module")
-def mc_results(pde_default):
+def mc_results(reference_surface):
     pay = ref_payoff()
     delta = {M: run_delta_hedge(pay, PathConfig(M=M)) for M in
              (10, 20, 40, 80, 160)}
-    policy = run_policy_hedge(pay, pde_default, PathConfig())
+    policy = run_policy_hedge(pay, reference_surface, PathConfig())
     return delta, policy
 
 
@@ -112,19 +102,19 @@ def test_bachelier_closed_form_reference_value():
     assert bachelier_price(45.0, 45.0, 0.6, 63.0) == pytest.approx(1.900, abs=1e-3)
 
 
-def test_tree_price_reference_scenario(tree_ref):
-    assert tree_price(tree_ref) == pytest.approx(2.060, abs=0.03)
+def test_tree_price_reference_scenario(reference_tree):
+    assert tree_price(reference_tree) == pytest.approx(2.060, abs=0.03)
 
 
-def test_pde_price_reference_scenario(pde_default, pde_matched, tree_ref):
-    assert pde_default.price(0.0, 1e7, 45.0) / N == pytest.approx(2.067, abs=0.05)
-    gap = pde_matched.price(0.0, 1e7, 45.0) / N - tree_price(tree_ref)
+def test_pde_price_reference_scenario(reference_surface, pde_matched, reference_tree):
+    assert reference_surface.price(0.0, 1e7, 45.0) / N == pytest.approx(2.067, abs=0.05)
+    gap = pde_matched.price(0.0, 1e7, 45.0) / N - tree_price(reference_tree)
     assert abs(gap) <= 0.02
 
 
-def test_execution_cost_sweep(tree_ref, eta_trees):
+def test_execution_cost_sweep(reference_tree, eta_trees):
     targets = {0.2: 2.144, 0.1: 2.060, 0.05: 2.007, 0.01: 1.943}
-    prices = {0.1: tree_price(tree_ref)}
+    prices = {0.1: tree_price(reference_tree)}
     prices.update({eta: tree_price(tv) for eta, tv in eta_trees.items()})
     for eta, want in targets.items():
         assert prices[eta] == pytest.approx(want, abs=0.03), f"eta={eta}"
@@ -138,13 +128,13 @@ def test_execution_cost_sweep(tree_ref, eta_trees):
         bachelier_price(45.0, 45.0, 0.6, 63.0), abs=0.01)
 
 
-def test_risk_aversion_sweep(tree_ref):
+def test_risk_aversion_sweep(reference_tree):
     targets = [(1e-8, 1.955), (2e-8, 1.968), (5e-8, 1.994), (2e-7, 2.060),
                (1e-6, 2.207), (2e-6, 2.308), (5e-6, 2.521)]
     prices = []
     for gamma, want in targets:
         if gamma == 2e-7:
-            p = tree_price(tree_ref)
+            p = tree_price(reference_tree)
         else:
             p = tree_price(solve_tree(ref_payoff(gamma=gamma), TreeConfig()))
         assert p == pytest.approx(want, abs=0.03), f"gamma={gamma}"
@@ -152,9 +142,9 @@ def test_risk_aversion_sweep(tree_ref):
     assert all(b > a for a, b in zip(prices, prices[1:]))
 
 
-def test_initial_inventory_and_participation_prices(tree_ref, tree_slow):
-    empty_fast = tree_price(tree_ref, 0.0)
-    half_fast = tree_price(tree_ref, 1e7)
+def test_initial_inventory_and_participation_prices(reference_tree, tree_slow):
+    empty_fast = tree_price(reference_tree, 0.0)
+    half_fast = tree_price(reference_tree, 1e7)
     empty_slow = tree_price(tree_slow, 0.0)
     half_slow = tree_price(tree_slow, 1e7)
     assert empty_fast == pytest.approx(2.182, abs=0.05)
@@ -185,25 +175,25 @@ def test_permanent_impact_price(pde_matched):
 # structural bounds
 
 
-def test_price_dominates_frictionless_bound(pde_default, tree_ref):
-    g = pde_default.grid
+def test_price_dominates_frictionless_bound(reference_surface, reference_tree):
+    g = reference_surface.grid
     dS = (g.S_max - g.S_min) / (g.n_S - 1)
     floor = bachelier_price(g.S, 45.0, 0.6, 63.0) - 2.0 * dS
-    assert (pde_default.values[0] / N >= floor[None, :]).all()
+    assert (reference_surface.values[0] / N >= floor[None, :]).all()
 
-    dS_tree = tree_ref.config.alpha * 0.6 * math.sqrt(tree_ref.config.dt)
-    root = tree_ref.theta[0][0, :] / N
+    dS_tree = reference_tree.config.alpha * 0.6 * math.sqrt(reference_tree.config.dt)
+    root = reference_tree.theta[0][0, :] / N
     assert (root >= bachelier_price(45.0, 45.0, 0.6, 63.0) - 2.0 * dS_tree).all()
 
 
-def test_value_convex_in_inventory_both_engines(pde_default, tree_ref):
-    v = pde_default.values
+def test_value_convex_in_inventory_both_engines(reference_surface, reference_tree):
+    v = reference_surface.values
     tol = -1e-6 * np.abs(v).max()
     d2 = v[:, 2:, :] - 2.0 * v[:, 1:-1, :] + v[:, :-2, :]
     assert d2.min() >= tol
 
-    tol_tree = -1e-6 * max(np.abs(th).max() for th in tree_ref.theta)
-    for th in tree_ref.theta:
+    tol_tree = -1e-6 * max(np.abs(th).max() for th in reference_tree.theta)
+    for th in reference_tree.theta:
         d2 = th[:, 2:] - 2.0 * th[:, 1:-1] + th[:, :-2]
         assert d2.min() >= tol_tree
 
@@ -325,17 +315,17 @@ def test_wealth_identity_refines_linearly():
 # strategy trajectories along the bundled path
 
 
-def test_trajectory_smoother_than_delta_hedge(tree_ref):
+def test_trajectory_smoother_than_delta_hedge(reference_tree):
     from liqhedge.model import bachelier_delta
     t, S = reference_path()
-    q, _ = policy_trajectory(ref_payoff(), tree_ref, S)
+    q, _ = policy_trajectory(ref_payoff(), reference_tree, S)
     q_delta = N * bachelier_delta(S, 45.0, 0.6, np.maximum(63.0 - t, 0.0))
     assert np.abs(np.diff(q)).sum() < np.abs(np.diff(q_delta)).sum()
 
 
-def test_trajectory_smoothing_increases_with_execution_cost(tree_ref, eta_trees):
+def test_trajectory_smoothing_increases_with_execution_cost(reference_tree, eta_trees):
     _, S = reference_path()
-    tv = {0.1: tree_ref, **eta_trees}
+    tv = {0.1: reference_tree, **eta_trees}
     variation = {}
     for eta, solved in tv.items():
         q, _ = policy_trajectory(ref_payoff(eta=eta), solved, S)
@@ -343,18 +333,18 @@ def test_trajectory_smoothing_increases_with_execution_cost(tree_ref, eta_trees)
     assert variation[0.2] < variation[0.1] < variation[0.05] < variation[0.01]
 
 
-def test_trajectory_forgets_initial_inventory(tree_ref):
+def test_trajectory_forgets_initial_inventory(reference_tree):
     t, S = reference_path()
-    q_low, _ = policy_trajectory(ref_payoff(), tree_ref, S, q0=0.0)
-    q_high, _ = policy_trajectory(ref_payoff(), tree_ref, S, q0=1e7)
+    q_low, _ = policy_trajectory(ref_payoff(), reference_tree, S, q0=0.0)
+    q_high, _ = policy_trajectory(ref_payoff(), reference_tree, S, q0=1e7)
     after = t >= 10.0
-    assert np.abs(q_low - q_high)[after].max() <= 2.0 * tree_ref.dq
+    assert np.abs(q_low - q_high)[after].max() <= 2.0 * reference_tree.dq
 
 
-def test_trajectory_cash_settlement_unwinds_near_expiry(tree_ref, tree_cash):
+def test_trajectory_cash_settlement_unwinds_near_expiry(reference_tree, tree_cash):
     t, S = reference_path()
     assert S[-1] > 45.0  # the bundled path finishes in the money
-    q_phys, _ = policy_trajectory(ref_payoff(), tree_ref, S)
+    q_phys, _ = policy_trajectory(ref_payoff(), reference_tree, S)
     q_cash, _ = policy_trajectory(ref_payoff(settlement="cash"), tree_cash, S)
     assert q_phys[-1] >= 0.95 * N
     assert q_cash[-1] <= 0.60 * N

@@ -6,6 +6,10 @@ those oracles are asserted alongside.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +221,49 @@ def test_bachelier_delta_matrix_matches_columns_and_norm_cdf():
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def norm_formula_price(S, K, sigma, tau):
+    """(S-K)*norm.cdf(d) + sq*norm.pdf(d) where sq > 0, (S-K)+ elsewhere."""
+    S, tau = np.asarray(S, dtype=float), np.asarray(tau, dtype=float)
+    sq = sigma * np.sqrt(tau)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(sq > 0, (S - K) / np.where(sq > 0, sq, 1.0), 0.0)
+        live = (S - K) * norm.cdf(d) + sq * norm.pdf(d)
+    return np.where(sq > 0, live, np.maximum(S - K, 0.0))
+
+
+def test_bachelier_price_matches_norm_formula_bit_for_bit():
+    # ndtr and the closed-form pdf give the scipy.stats formula exactly; the
+    # rows cover S = -0 and +0 (d = -0 and +0 at K = 0), +-inf, NaN (whose
+    # sign bit is compared too) and S = K; the columns tau = 1e-300 and 0
+    S = 45.0 + 5.0 * np.random.default_rng(7).standard_normal((40, 6))
+    S[:5] = [[-0.0], [0.0], [np.inf], [-np.inf], [np.nan]]
+    S[5:8, :] = 45.0
+    tau = np.array([63.0, 10.0, 1.0, 1e-3, 1e-300, 0.0])
+    for K in (45.0, 0.0, -0.0):
+        with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0
+            got = bachelier_price(S, K, 0.6, tau)
+        want = norm_formula_price(S, K, 0.6, tau)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    for S0, tau0 in ((47.0, 2.0), (45.0, 63.0), (-0.0, 1.0), (math.nan, 1.0),
+                     (47.0, 0.0), (43.0, 0.0)):
+        got = bachelier_price(S0, 45.0, 0.6, tau0)
+        assert type(got) is float
+        want = norm_formula_price(S0, 45.0, 0.6, tau0)
+        assert np.float64(got).view(np.uint64) == want.view(np.uint64)
+
+
+def test_package_import_leaves_out_scipy_stats():
+    # the package needs numpy, scipy.linalg and scipy.special; scipy.stats
+    # alone more than doubles the import time every command pays
+    code = "import sys, liqhedge, liqhedge.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_bachelier_negative_tau_rejected():
     with pytest.raises(ValueError):
         bachelier_price(45, 45, 0.6, -1.0)
@@ -226,12 +273,10 @@ def test_bachelier_negative_tau_rejected():
 # terminal payoff
 # ---------------------------------------------------------------------------
 
-def make_reference_payoff(settlement="physical", **over):
+def make_reference_payoff(settlement="physical"):
     contract = OptionContract(K=45.0, T=63.0, N=2e7, gamma=2e-7, q0=1e7,
                               settlement=settlement)
     market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0)
-    for key, val in over.items():
-        pass
     return PayoffSpec(contract=contract, market=market, cost=REF_COST)
 
 

@@ -48,11 +48,6 @@ def small_grid(pay, n_S=61, n_q=31, n_t=32):
     return GridSpec(g.S_min, g.S_max, n_S, g.q_min, g.q_max, n_q, n_t)
 
 
-@pytest.fixture(scope="module")
-def reference_surface():
-    return solve_theta(reference_payoff())
-
-
 # ---------------------------------------------------------------------------
 # closed-form oracle: frozen inventory, zero payoff
 # ---------------------------------------------------------------------------

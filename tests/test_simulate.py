@@ -3,6 +3,7 @@ runners, and the discrete wealth-decomposition identity."""
 
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -351,6 +352,36 @@ def test_policy_speeds_read_both_engines():
     v = surf.policy_speeds(level, q, S, alive)
     assert alive.all() and np.any(v != 0)
     np.testing.assert_array_equal(v, surf.policy(surf.t_grid[level], q, S))
+
+
+def test_policy_speeds_drop_nan_paths(small_surface):
+    # a NaN q or S fails every hull test, so its path leaves `alive` in
+    # either engine, and no NaN or inf reaches an int cast (no warning);
+    # the finite path reads its scalar policy; the tree clips +-inf S to
+    # its top and bottom nodes
+    contract = OptionContract(K=45.0, T=4.0, N=2e7, gamma=2e-7, q0=1e7)
+    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0)
+    tv = solve_tree(PayoffSpec(contract, market, COST),
+                    TreeConfig(dt=1.0, alpha=1.5, dq=1e5, q_min=0.0, q_max=2e7))
+    surf, level = small_surface, 2
+    q, S = np.array([1e7, np.nan, 1e7]), np.array([45.0, 45.0, np.nan])
+    for sol, want in ((tv, tree_policy(tv, level, 45.0, 1e7)),
+                      (surf, surf.policy(surf.t_grid[level], 1e7, 45.0))):
+        alive = np.ones(3, dtype=bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = sol.policy_speeds(level, q, S, alive)
+        np.testing.assert_array_equal(alive, [True, False, False])
+        assert v[0] == want
+
+    alive = np.ones(2, dtype=bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = tv.policy_speeds(level, np.full(2, 1e7), np.array([-np.inf, np.inf]), alive)
+    nodes = tv.node_prices(level)
+    assert alive.all()
+    np.testing.assert_array_equal(
+        v, [tree_policy(tv, level, s, 1e7) for s in (nodes[0], nodes[-1])])
 
 
 @pytest.fixture(scope="module")

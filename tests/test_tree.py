@@ -45,11 +45,6 @@ def reference_payoff(**over):
     return PayoffSpec(contract, market, cost)
 
 
-@pytest.fixture(scope="module")
-def reference_tree():
-    return solve_tree(reference_payoff())
-
-
 # ---------------------------------------------------------------------------
 # zero-control closed form
 # ---------------------------------------------------------------------------
