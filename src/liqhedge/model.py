@@ -423,8 +423,14 @@ def _bachelier_d(S, K, sigma, tau):
     if np.any(tau < 0):
         raise ValueError("tau must be >= 0")
     sq = sigma * np.sqrt(tau)
+    live = sq > 0
+    # one full-size array, written in place: S and tau broadcast to a whole
+    # (paths, dates) ladder in the delta hedge
+    d = np.empty(np.broadcast_shapes(S.shape, np.shape(K), sq.shape))
+    np.subtract(S, K, out=d)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(sq > 0, (S - K) / np.where(sq > 0, sq, 1.0), 0.0)
+        d /= np.where(live, sq, 1.0)
+    np.copyto(d, 0.0, where=~live)
     return S, sq, d
 
 
@@ -439,7 +445,10 @@ def bachelier_price(S, K, sigma, tau):
     S, sq, d = _bachelier_d(S, K, sigma, tau)
     # -0.5*d**2 rounds as -d**2/2 does, and a NaN d keeps its sign, as in norm.pdf
     pdf = np.exp(-0.5 * d**2) / math.sqrt(2.0 * math.pi)
-    live = (S - K) * ndtr(d) + sq * pdf
+    # where Phi(d) is 0 the call's first term is 0: at S = -inf the product
+    # would be -inf*0 = NaN, and elsewhere its -0.0 adds as 0.0 does
+    phi = ndtr(d)
+    live = np.multiply(S - K, phi, out=np.zeros_like(phi), where=phi > 0) + sq * pdf
     out = np.where(sq > 0, live, np.maximum(S - K, 0.0))
     return float(out) if out.ndim == 0 else out
 
@@ -451,8 +460,9 @@ def bachelier_delta(S, K, sigma, tau):
     Phi is scipy's ndtr, as in bachelier_price.
     """
     S, sq, d = _bachelier_d(S, K, sigma, tau)
-    out = np.where(sq > 0, ndtr(d), (S >= K).astype(float))
-    return float(out) if out.ndim == 0 else out
+    ndtr(d, out=d)
+    np.copyto(d, S >= K, where=~(sq > 0))
+    return float(d) if d.ndim == 0 else d
 
 
 # ---------------------------------------------------------------------------

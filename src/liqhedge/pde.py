@@ -113,10 +113,13 @@ class SchemeConfig:
 
 
 class ThetaSurface:
-    """Solved value/control surfaces on the full (t, q, S) grid.
+    """Solved value/control surfaces on the (t, q, S) grid.
 
-    values[n, i, j] = theta(t_n, q_i, S_j); control[n, i, j] = v*(t_n, q_i, S_j)
-    in shares/day (zero at the terminal level, where no decision remains).
+    values[n, i, j] = theta(t_n, q_i, S_j) for the levels the solve kept:
+    level 0 only by default (values shaped (1, n_q, n_S)), every level
+    0..n_t with keep_values=True. control[n, i, j] = v*(t_n, q_i, S_j) in
+    shares/day at every level (zero at the terminal level, where no
+    decision remains).
     """
 
     def __init__(self, payoff, grid: GridSpec, scheme: SchemeConfig,
@@ -169,8 +172,13 @@ class ThetaSurface:
                 + gx * fy * flat.take(k + 1) + fx * fy * flat.take(k + g.n_S + 1))
 
     def price(self, t: float, q, S):
-        """Bilinear interpolation of theta at (t, q, S); t must be a level."""
-        return self._bilinear(self.values[self.level_of(t)], q, S)
+        """Bilinear interpolation of theta at (t, q, S); t must be a level
+        the solve kept (t = 0 only, unless solved with keep_values=True)."""
+        n = self.level_of(t)
+        if n >= len(self.values):
+            raise ValueError(f"t={t}: the solve kept theta at t = 0 only; "
+                             "solve with keep_values=True to read later levels")
+        return self._bilinear(self.values[n], q, S)
 
     def policy(self, t: float, q, S):
         """Interpolated optimal trading speed (shares/day) at (t, q, S)."""
@@ -311,8 +319,12 @@ def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
 
 
 def solve_theta(payoff, grid: Optional[GridSpec] = None,
-                scheme: SchemeConfig = SchemeConfig()) -> ThetaSurface:
+                scheme: SchemeConfig = SchemeConfig(),
+                keep_values: bool = False) -> ThetaSurface:
     """Solve the splitting scheme backward from Pi; returns a ThetaSurface.
+
+    The surface holds the control at every level and theta at level 0 only;
+    keep_values=True keeps theta at every level too.
 
     With permanent impact k > 0 the S axis is the shifted price
     S_tilde = S - k*(q - q0), on which the problem is the k = 0 one with the
@@ -327,10 +339,11 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
     dS = (grid.S_max - grid.S_min) / (nS - 1)
     qcol = qgrid[:, None]
 
-    values = np.empty((grid.n_t + 1, nq, nS))
+    values = np.empty((grid.n_t + 1 if keep_values else 1, nq, nS))
     control = np.zeros((grid.n_t + 1, nq, nS))
     theta = np.asarray(payoff.terminal(qcol, Sgrid[None, :]), dtype=float)
-    values[grid.n_t] = theta
+    if keep_values:
+        values[grid.n_t] = theta
 
     ab = _build_banded_A(grid, m, dt)
     # q-dependent source of the linear substep: -dt*(mu - r*S)*q
@@ -364,7 +377,8 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
             check("C", n, theta)
             theta = _step_B(theta, qcol, dS, coef, dt, scheme)
             check("B", n, theta)
-        values[n] = theta
+        if keep_values or n == 0:
+            values[n] = theta
         control[n] = vstar
 
     return ThetaSurface(payoff, grid, scheme, values, control)
@@ -372,8 +386,12 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
 
 def export_surface_csv(surface: ThetaSurface, path, metadata: str = ""):
     """Portable dump: one row per (t, q, S) node plus a JSON sidecar with the
-    grid; ends with a metadata comment line when provided."""
+    grid; ends with a metadata comment line when provided. Needs a
+    keep_values=True surface; raises ValueError, before writing, on a lean one."""
     g = surface.grid
+    if len(surface.values) != g.n_t + 1:
+        raise ValueError("the solve kept theta at t = 0 only; solve with "
+                         "keep_values=True to export every level")
     tg, qg, Sg = surface.t_grid, g.q, g.S
     with open(path, "w") as fh:
         fh.write("t,q,S,theta,v_star\n")

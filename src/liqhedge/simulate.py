@@ -187,10 +187,11 @@ def simulate_price_paths(market, cfg: PathConfig, T: float,
     steps = n_obs - 1
     dt = T / steps
     Z = _normal_matrix(cfg.seed, cfg.n_paths, steps, _PRICE_STREAM)
+    Z *= market.sigma * math.sqrt(dt)  # the increments, in place
+    Z += market.mu * dt
     S = np.empty((cfg.n_paths, n_obs))
     S[:, 0] = market.S0
-    np.cumsum(market.mu * dt + market.sigma * math.sqrt(dt) * Z, axis=1,
-              out=S[:, 1:])
+    np.cumsum(Z, axis=1, out=S[:, 1:])
     S[:, 1:] += market.S0
     return S
 
@@ -199,7 +200,11 @@ def _twap_matrix(S: np.ndarray, sigma: float, dt: float, seed: int) -> np.ndarra
     """Conditional TWAP for every interval of every path, counter-seeded."""
     n_paths, n_obs = S.shape
     noise = _normal_matrix(seed, n_paths, n_obs - 1, _TWAP_STREAM)
-    return 0.5 * (S[:, :-1] + S[:, 1:]) + sigma * math.sqrt(dt / 12.0) * noise
+    noise *= sigma * math.sqrt(dt / 12.0)
+    twap = np.add(S[:, :-1], S[:, 1:])
+    twap *= 0.5
+    twap += noise
+    return twap
 
 
 def _hedge(payoff: PayoffSpec, S: np.ndarray, seed: int, q0, trade, per: float,

@@ -64,12 +64,14 @@ class TreeConfig:
 
 
 class TreeValue:
-    """Backward-induction output: per-level value and control arrays.
+    """Backward-induction output: value levels and every control level.
 
-    theta[j] has shape (2j+1, n_q) and is a transposed view of the solver's
-    inventory-major (n_q, 2j+1) C-contiguous level array (no copy is made);
-    control_mult[j] is laid out the same way and holds the optimal trade in
-    units of dq (int), so v = control_mult * dq / dt shares/day.
+    theta holds the value levels the solve kept: [theta_0] by default,
+    every level 0..J with keep_values=True. theta[j] has shape (2j+1, n_q)
+    and is a transposed view of the solver's inventory-major (n_q, 2j+1)
+    C-contiguous level array (no copy is made). control_mult[j], for every
+    decision level j < J, is laid out the same way and holds the optimal
+    trade in units of dq (int), so v = control_mult * dq / dt shares/day.
     """
 
     def __init__(self, payoff, config, qgrid, theta, control_mult, t_grid):
@@ -166,8 +168,12 @@ def n_steps(T: float, dt: float) -> int:
     return J
 
 
-def solve_tree(payoff, config: TreeConfig = TreeConfig()):
+def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = False):
     """Run the backward induction; returns a TreeValue.
+
+    The TreeValue holds the control at every decision level and the value
+    at level 0 only, so only the level in flight is alive during the solve;
+    keep_values=True keeps every value level too.
 
     Requires T/dt integer, q0 on the inventory grid, and — for constant
     volume — rho_max*V*dt an integer multiple of dq. With permanent impact
@@ -198,16 +204,17 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig()):
 
     t_grid = dt * np.arange(J + 1)
     leaf_S = _node_prices(m, config, J)
-    theta = [None] * (J + 1)
+    theta = [None] * (J + 1) if keep_values else [None]
     ctrl = [None] * J
     # levels are computed inventory-major, (n_q, nodes) C-contiguous, so the
     # min-plus sweep's shifted slices are contiguous; theta[j] and ctrl[j]
     # are their transposed (nodes, n_q) views
     nxt = np.asarray(payoff.terminal(qgrid[:, None], leaf_S[None, :]), dtype=float)
-    theta[J] = nxt.T
-    if not np.all(np.isfinite(theta[J])):
-        bad = np.argwhere(~np.isfinite(theta[J]))[0]
+    if not np.all(np.isfinite(nxt)):
+        bad = np.argwhere(~np.isfinite(nxt.T))[0]
         raise FloatingPointError(f"non-finite terminal value at node {tuple(bad)}")
+    if keep_values:
+        theta[J] = nxt.T
 
     d_up, d_mid, d_dn = drift + step, drift, drift - step
 
@@ -237,13 +244,14 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig()):
             S_nodes = _node_prices(m, config, j)
             best = best + g * growth * (qgrid[:, None] * S_nodes[None, :])
         nxt = (disc / gamma) * best
-        theta[j] = nxt.T
         ctrl[j] = bmult.T
-        if not np.all(np.isfinite(theta[j])):
-            bad = np.argwhere(~np.isfinite(theta[j]))[0]
+        if not np.all(np.isfinite(nxt)):
+            bad = np.argwhere(~np.isfinite(nxt.T))[0]
             raise FloatingPointError(
                 f"non-finite value at level {j}, node {tuple(bad)}"
             )
+        if keep_values or j == 0:
+            theta[j] = nxt.T
 
     return TreeValue(payoff, config, qgrid, theta, ctrl, t_grid)
 
@@ -265,11 +273,17 @@ def tree_policy(tv: TreeValue, j: int, S: float, q: float) -> float:
 
 
 def dump_tree_csv(tv: TreeValue, path, levels=None, metadata: str = ""):
-    """Per-level node dump: j, p, S, q, theta, v. Heavy for large trees."""
+    """Per-level node dump: j, p, S, q, theta, v. Heavy for large trees.
+
+    levels defaults to every level, so it needs a keep_values=True solve;
+    raises ValueError, before writing, on a level the solve did not keep.
+    """
     import csv
 
-    if levels is None:
-        levels = range(tv.J + 1)
+    levels = range(tv.J + 1) if levels is None else list(levels)
+    if any(j >= len(tv.theta) for j in levels):
+        raise ValueError("the solve kept value level 0 only; solve with "
+                         "keep_values=True to dump later levels")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["j", "p", "S", "q", "theta", "v"])

@@ -2,7 +2,9 @@
 
 Both are built from `demos/reference_config.json`, whose payoff, tree
 configuration and default PDE grid are the reference scenario's, and are
-solved once per session. Tests read these arrays and never write them.
+solved once per session with keep_values=True, so every value level is
+there for the tests that read levels after 0. Tests read these arrays and
+never write them.
 """
 
 from pathlib import Path
@@ -24,11 +26,12 @@ def reference_config():
 @pytest.fixture(scope="session")
 def reference_tree(reference_config):
     """The reference scenario on the dt 0.25 tree."""
-    return solve_tree(reference_config.payoff, reference_config.tree_config)
+    return solve_tree(reference_config.payoff, reference_config.tree_config,
+                      keep_values=True)
 
 
 @pytest.fixture(scope="session")
 def reference_surface(reference_config):
     """The reference scenario on the default 241x121 PDE grid."""
     return solve_theta(reference_config.payoff, reference_config.grid,
-                       reference_config.scheme)
+                       reference_config.scheme, keep_values=True)

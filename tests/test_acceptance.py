@@ -207,14 +207,15 @@ def test_frozen_inventory_closed_forms():
     pay = PayoffSpec(contract, market, COST, penalty_rate=1.0,
                      penalty=lambda q: np.zeros_like(q))
 
-    surf = solve_theta(pay, GridSpec(40.0, 50.0, 11, -2e6, 2e6, 9, 16))
+    surf = solve_theta(pay, GridSpec(40.0, 50.0, 11, -2e6, 2e6, 9, 16),
+                       keep_values=True)
     tt, qq = np.meshgrid(surf.t_grid, surf.grid.q, indexing="ij")
     expect = 0.5 * gamma * sigma**2 * qq**2 * (T - tt)
     err = np.abs(surf.values - expect[:, :, None]).max()
     assert err <= 1e-4 * np.abs(expect).max()
 
     cfg = TreeConfig(dt=0.25, dq=5e5, q_min=-2e6, q_max=2e6)
-    tv = solve_tree(pay, cfg)
+    tv = solve_tree(pay, cfg, keep_values=True)
     a = gamma * tv.qgrid * sigma * math.sqrt(cfg.dt) * cfg.alpha
     p_edge = 1.0 / (2.0 * cfg.alpha**2)
     per_step = np.log(p_edge * (np.exp(a) + np.exp(-a)) + (1 - 1 / cfg.alpha**2))

@@ -71,8 +71,8 @@ def test_offset_shifts_every_node_uniformly():
     shift = 0.5 * 3e-6 * 1e6**2
     # a penalty lowered by the constant cancels the terminal's k*q0^2/2
     no_offset = dataclasses.replace(pay, penalty=lambda q: pay.liquidation(q) - shift)
-    with_off = solve_tree(pay, cfg)
-    without = solve_tree(no_offset, cfg)
+    with_off = solve_tree(pay, cfg, keep_values=True)
+    without = solve_tree(no_offset, cfg, keep_values=True)
     for j in range(with_off.J + 1):
         np.testing.assert_allclose(with_off.theta[j] - without.theta[j],
                                    shift, rtol=1e-12)

@@ -234,15 +234,18 @@ def norm_formula_price(S, K, sigma, tau):
 def test_bachelier_price_matches_norm_formula_bit_for_bit():
     # ndtr and the closed-form pdf give the scipy.stats formula exactly; the
     # rows cover S = -0 and +0 (d = -0 and +0 at K = 0), +-inf, NaN (whose
-    # sign bit is compared too) and S = K; the columns tau = 1e-300 and 0
+    # sign bit is compared too) and S = K; the columns tau = 1e-300 and 0.
+    # At S = -inf and tau > 0 the formula is -inf * Phi(-inf) = NaN, where
+    # the call is worth 0.0
     S = 45.0 + 5.0 * np.random.default_rng(7).standard_normal((40, 6))
     S[:5] = [[-0.0], [0.0], [np.inf], [-np.inf], [np.nan]]
     S[5:8, :] = 45.0
     tau = np.array([63.0, 10.0, 1.0, 1e-3, 1e-300, 0.0])
     for K in (45.0, 0.0, -0.0):
-        with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0
-            got = bachelier_price(S, K, 0.6, tau)
+        got = bachelier_price(S, K, 0.6, tau)
         want = norm_formula_price(S, K, 0.6, tau)
+        assert np.isnan(want[3, :-1]).all()
+        want[3, :-1] = 0.0
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     for S0, tau0 in ((47.0, 2.0), (45.0, 63.0), (-0.0, 1.0), (math.nan, 1.0),
                      (47.0, 0.0), (43.0, 0.0)):
@@ -250,6 +253,16 @@ def test_bachelier_price_matches_norm_formula_bit_for_bit():
         assert type(got) is float
         want = norm_formula_price(S0, 45.0, 0.6, tau0)
         assert np.float64(got).view(np.uint64) == want.view(np.uint64)
+
+
+def test_bachelier_price_is_zero_at_minus_infinity():
+    # -inf * Phi(-inf) would be NaN with a RuntimeWarning (an error here)
+    for tau in (63.0, 1e-300, 0.0):
+        got = bachelier_price(-np.inf, 45.0, 0.6, tau)
+        assert type(got) is float and np.float64(got).view(np.uint64) == 0
+    got = bachelier_price(np.array([-np.inf, 45.0]), 45.0, 0.6, np.array([1.0, 0.0]))
+    np.testing.assert_array_equal(got.view(np.uint64), [0, 0])
+    assert bachelier_delta(-np.inf, 45.0, 0.6, 63.0) == 0.0
 
 
 def test_package_import_leaves_out_scipy_stats():

@@ -63,7 +63,7 @@ def test_frozen_inventory_closed_form():
     pay = PayoffSpec(contract, market, ExecutionCost(0.1, 0.75),
                      penalty_rate=1.0, penalty=lambda q: np.zeros_like(q))
     grid = GridSpec(40.0, 50.0, 11, -2e6, 2e6, 9, 16)
-    surf = solve_theta(pay, grid)
+    surf = solve_theta(pay, grid, keep_values=True)
     tt, qq = np.meshgrid(surf.t_grid, grid.q, indexing="ij")
     expect = 0.5 * gamma * sigma**2 * qq**2 * (T - tt)
     np.testing.assert_allclose(
@@ -184,7 +184,8 @@ def test_terminal_level_matches_payoff(reference_surface):
 
 def test_export_csv(tmp_path):
     pay = reference_payoff(T=4.0)
-    surf = solve_theta(pay, small_grid(pay, n_S=21, n_q=11, n_t=4))
+    surf = solve_theta(pay, small_grid(pay, n_S=21, n_q=11, n_t=4),
+                       keep_values=True)
     out = tmp_path / "surface.csv"
     export_surface_csv(surf, out, metadata="unit-test")
     lines = out.read_text().strip().splitlines()
@@ -193,6 +194,38 @@ def test_export_csv(tmp_path):
     assert len(lines) == 2 + 5 * 11 * 21
     side = json.loads((tmp_path / "surface.csv.json").read_text())
     assert side["grid"]["n_S"] == 21
+
+
+@pytest.fixture(scope="module")
+def lean_and_full_surface():
+    pay = reference_payoff(T=4.0)
+    grid = small_grid(pay, n_S=21, n_q=11, n_t=4)
+    return solve_theta(pay, grid), solve_theta(pay, grid, keep_values=True)
+
+
+def test_lean_solve_matches_full_solve_bit_for_bit(lean_and_full_surface):
+    # the default solve keeps theta at t = 0 and the control at every level
+    lean, full = lean_and_full_surface
+    g = lean.grid
+    assert lean.values.shape == (1, g.n_q, g.n_S)
+    assert full.values.shape == (g.n_t + 1, g.n_q, g.n_S)
+    assert lean.values[0].tobytes() == full.values[0].tobytes()
+    assert lean.control.shape == full.control.shape
+    assert lean.control.tobytes() == full.control.tobytes()
+    assert lean.price(0.0, 1e7, 45.0) == full.price(0.0, 1e7, 45.0)
+
+
+def test_lean_surface_refuses_later_levels(tmp_path, lean_and_full_surface):
+    # values[-1] of a lean surface is level 0, so reads past it must raise
+    lean, full = lean_and_full_surface
+    t1 = lean.t_grid[1]
+    with pytest.raises(ValueError, match="keep_values=True"):
+        lean.price(t1, 1e7, 45.0)
+    assert lean.policy(t1, 1e7, 45.0) == full.policy(t1, 1e7, 45.0)
+    out = tmp_path / "surface.csv"
+    with pytest.raises(ValueError, match="keep_values=True"):
+        export_surface_csv(lean, out)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

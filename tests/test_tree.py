@@ -60,7 +60,7 @@ def test_zero_control_closed_form():
     pay = PayoffSpec(contract, market, ExecutionCost(0.1, 0.75),
                      penalty_rate=1.0, penalty=lambda q: np.zeros_like(q))
     cfg = TreeConfig(dt=dt, dq=5e5, q_min=-2e6, q_max=2e6)
-    tv = solve_tree(pay, cfg)
+    tv = solve_tree(pay, cfg, keep_values=True)
 
     alpha = cfg.alpha
     p_edge = 1.0 / (2 * alpha**2)
@@ -101,7 +101,7 @@ def test_reference_scenario_bits_pinned():
     # digest was recorded before the levels were stored inventory-major.
     # numpy's SIMD exp/log may round differently on another CPU family,
     # and then this digest is recorded again, as the perfbench reference is
-    tv = solve_tree(reference_payoff(), TreeConfig(dt=1.0))
+    tv = solve_tree(reference_payoff(), TreeConfig(dt=1.0), keep_values=True)
     nq = tv.qgrid.size
     for j in range(tv.J + 1):
         assert tv.theta[j].shape == (2 * j + 1, nq)
@@ -109,6 +109,34 @@ def test_reference_scenario_bits_pinned():
             assert tv.control_mult[j].shape == (2 * j + 1, nq)
     assert tree_digest(tv) == (
         "eba90d8f9895b811e8a1074aec8e359322edb0705ce13fab08f92512c44775a2")
+
+
+@pytest.fixture(scope="module")
+def lean_and_full_tree():
+    """The reference scenario at dt = 1, solved lean and with keep_values."""
+    pay, cfg = reference_payoff(), TreeConfig(dt=1.0)
+    return solve_tree(pay, cfg), solve_tree(pay, cfg, keep_values=True)
+
+
+def test_lean_solve_matches_full_solve_bit_for_bit(lean_and_full_tree):
+    # the default solve keeps theta_0 and every control level, byte for byte
+    lean, full = lean_and_full_tree
+    assert len(lean.theta) == 1 and len(full.theta) == full.J + 1
+    assert lean.theta[0].tobytes() == full.theta[0].tobytes()
+    assert len(lean.control_mult) == full.J
+    for a, b in zip(lean.control_mult, full.control_mult):
+        assert a.dtype == b.dtype == np.int16
+        assert a.tobytes() == b.tobytes()
+    assert price_with_initial_exchange(lean) == price_with_initial_exchange(full)
+
+
+def test_lean_solve_stores_controls_and_one_level(lean_and_full_tree):
+    lean, _ = lean_and_full_tree
+    nq = lean.qgrid.size
+    controls = sum((2 * j + 1) * nq * 2 for j in range(lean.J))  # int16
+    assert sum(a.nbytes for a in lean.control_mult) == controls
+    assert sum(a.nbytes for a in lean.theta) == nq * 8  # theta_0: one node
+    assert lean.theta[0].shape == (1, nq)
 
 
 def test_full_hedge_start_costs_more(reference_tree):
@@ -193,7 +221,8 @@ def test_time_varying_volume_brackets_constants():
 def test_zero_volume_segment_freezes_trading():
     # no volume on [4, 6): the levels there cannot trade, the others can
     curve = VolumeCurve([0.0, 4.0, 6.0], [4e6, 0.0, 4e6])
-    tv = solve_tree(reference_payoff(T=8.0, volume=curve), TreeConfig(dt=0.5))
+    tv = solve_tree(reference_payoff(T=8.0, volume=curve), TreeConfig(dt=0.5),
+                    keep_values=True)
     dead = [j for j in range(tv.J) if curve.at(j * 0.5) == 0.0]
     assert dead and len(dead) < tv.J
     for j in range(tv.J):
@@ -244,6 +273,17 @@ def test_csv_dump(tmp_path, reference_tree):
     assert lines[-1].startswith("#")
     assert "unit-test" in lines[-1]
     assert len(lines) > 2
+
+
+def test_csv_dump_needs_every_level(tmp_path, lean_and_full_tree):
+    lean, _ = lean_and_full_tree
+    out = tmp_path / "tree.csv"
+    for levels in (None, [0, 1]):
+        with pytest.raises(ValueError, match="keep_values=True"):
+            dump_tree_csv(lean, out, levels=levels)
+        assert not out.exists()
+    dump_tree_csv(lean, out, levels=[0])  # the level the lean solve keeps
+    assert len(out.read_text().splitlines()) == 1 + lean.qgrid.size
 
 
 # ---------------------------------------------------------------------------
