@@ -294,7 +294,9 @@ def cmd_hedge(cfg: RunConfig, args) -> str:
     if steps != expected:
         raise ConfigError(f"path has {steps} steps but the {cfg.engine} "
                           f"solver is configured for {expected}")
-    if not np.allclose(np.diff(t), c.T / steps, rtol=1e-9, atol=1e-12):
+    h = c.T / steps  # tau = T - t is read from the times, so t must start at 0
+    if not (np.allclose(np.diff(t), h, rtol=1e-9, atol=1e-12)
+            and abs(t[0]) <= 1e-12 + 1e-9 * h):
         raise ConfigError("path times must be uniform over [0, T]")
 
     sol, _ = _solve(cfg)

@@ -223,61 +223,28 @@ class OptionContract:
 # ---------------------------------------------------------------------------
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10):
-    """Golden-section maximizer of a unimodal f on [lo, hi]; returns (x, f(x))."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def optimal_rate(cost: ExecutionCost, p, rho_max: float):
+    """Maximizer rho* of p*rho - L(rho) over [-rho_max, rho_max], in
+    closed form for the ExecutionCost family."""
+    p = np.asarray(p, dtype=float)
+    ap = np.abs(p)
+    excess = np.maximum(ap - cost.psi, 0.0)
+    if cost.eta == 0.0:
+        # linear cost: bang-bang
+        mag = np.where(excess > 0.0, rho_max, 0.0)
+    else:
+        mag = (excess / (cost.eta * (1.0 + cost.phi))) ** (1.0 / cost.phi)
+        mag = np.minimum(mag, rho_max)
+    out = np.sign(p) * mag
+    return float(out) if out.ndim == 0 else out
 
 
-def optimal_rate(cost, p, rho_max: float):
-    """Maximizer rho* of p*rho - L(rho) over [-rho_max, rho_max].
-
-    Closed form for an ExecutionCost; golden-section search (tolerance
-    1e-10 on rho) for any other convex even cost callable.
-    """
-    if isinstance(cost, ExecutionCost):
-        p = np.asarray(p, dtype=float)
-        ap = np.abs(p)
-        excess = np.maximum(ap - cost.psi, 0.0)
-        if cost.eta == 0.0:
-            # linear cost: bang-bang
-            mag = np.where(excess > 0.0, rho_max, 0.0)
-        else:
-            mag = (excess / (cost.eta * (1.0 + cost.phi))) ** (1.0 / cost.phi)
-            mag = np.minimum(mag, rho_max)
-        out = np.sign(p) * mag
-        return float(out) if out.ndim == 0 else out
-    # generic fallback: p*rho - L(rho) is concave in rho, even structure in |rho|
-    p = float(p)
-    sgn = 1.0 if p >= 0 else -1.0
-    x, _ = _golden_max(lambda rho: abs(p) * rho - cost(rho), 0.0, rho_max)
-    # snap the kink/corner cases the search can only approach
-    cands = np.array([0.0, x, rho_max])
-    vals = abs(p) * cands - np.array([cost(c) for c in cands])
-    best = cands[int(np.argmax(vals))]
-    return sgn * best
-
-
-def hamiltonian(cost, p, rho_max: float):
+def hamiltonian(cost: ExecutionCost, p, rho_max: float):
     """H(p) = sup_{|rho| <= rho_max} (p*rho - L(rho)) and its maximizer.
 
     Parameters
     ----------
-    cost : ExecutionCost or callable rho -> L(rho)
+    cost : ExecutionCost
     p : float or ndarray
     rho_max : float
 
@@ -336,10 +303,12 @@ class PayoffSpec:
     """Terminal condition Pi(q, S) for the stochastic control problem.
 
     Bundles the contract, market and execution cost together with the
-    liquidation penalty used at maturity. `penalty_rate` defaults to the
-    market participation cap; the closed-form penalty needs a final volume
-    segment > 0. `penalty` overrides it with an arbitrary even function of
-    q (used for degenerate benchmarks).
+    liquidation penalty used at maturity. cost must be an ExecutionCost,
+    the family whose Hamiltonian the solvers take in closed form (TypeError
+    otherwise). `penalty_rate` defaults to the market participation cap;
+    the closed-form penalty needs a final volume segment > 0. `penalty`
+    overrides it with an arbitrary even function of q (used for degenerate
+    benchmarks).
     """
 
     contract: OptionContract
@@ -349,6 +318,9 @@ class PayoffSpec:
     penalty: Optional[Callable] = None
 
     def __post_init__(self):
+        if not isinstance(self.cost, ExecutionCost):
+            raise TypeError("cost must be an ExecutionCost, "
+                            f"got {type(self.cost).__name__}")
         if self.penalty is None:
             rate = self.penalty_rate if self.penalty_rate is not None else self.market.rho_max
             if not (0 < rate <= self.market.rho_max):

@@ -28,7 +28,6 @@ smooths the payoff discontinuity before the nonlinear substeps see it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -39,8 +38,7 @@ from scipy.linalg import solve_banded
 from .minplus import shift_min
 from .model import _require_finite, optimal_rate
 
-__all__ = ["GridSpec", "SchemeConfig", "ThetaSurface", "solve_theta",
-           "export_surface_csv"]
+__all__ = ["GridSpec", "SchemeConfig", "ThetaSurface", "solve_theta"]
 
 _MAX_SUBSTEPS = 100_000  # CFL substeps per time step before giving up
 
@@ -122,11 +120,10 @@ class ThetaSurface:
     decision remains).
     """
 
-    def __init__(self, payoff, grid: GridSpec, scheme: SchemeConfig,
-                 values: np.ndarray, control: np.ndarray):
+    def __init__(self, payoff, grid: GridSpec, values: np.ndarray,
+                 control: np.ndarray):
         self.payoff = payoff
         self.grid = grid
-        self.scheme = scheme
         self.values = values
         self.control = control
         self.t_grid = np.linspace(0.0, payoff.contract.T, grid.n_t + 1)
@@ -137,7 +134,7 @@ class ThetaSurface:
 
     def level_of(self, t: float) -> int:
         x = t / self.dt
-        n = int(round(x))
+        n = int(round(x)) if math.isfinite(x) else -1  # inf/NaN: off the grid
         if not (0 <= n <= self.grid.n_t) or abs(x - n) > 1e-6:
             raise ValueError(f"t={t} is not on the time grid")
         return n
@@ -381,43 +378,5 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
             values[n] = theta
         control[n] = vstar
 
-    return ThetaSurface(payoff, grid, scheme, values, control)
+    return ThetaSurface(payoff, grid, values, control)
 
-
-def export_surface_csv(surface: ThetaSurface, path, metadata: str = ""):
-    """Portable dump: one row per (t, q, S) node plus a JSON sidecar with the
-    grid; ends with a metadata comment line when provided. Needs a
-    keep_values=True surface; raises ValueError, before writing, on a lean one."""
-    g = surface.grid
-    if len(surface.values) != g.n_t + 1:
-        raise ValueError("the solve kept theta at t = 0 only; solve with "
-                         "keep_values=True to export every level")
-    tg, qg, Sg = surface.t_grid, g.q, g.S
-    with open(path, "w") as fh:
-        fh.write("t,q,S,theta,v_star\n")
-        for n, t in enumerate(tg):
-            th = surface.values[n]
-            v = surface.control[n]
-            for i, qv in enumerate(qg):
-                rows = np.column_stack([
-                    np.full(g.n_S, t), np.full(g.n_S, qv), Sg, th[i], v[i],
-                ])
-                np.savetxt(fh, rows, delimiter=",", fmt="%.10g")
-        if metadata:
-            fh.write(f"# {metadata}\n")
-    sidecar = {
-        "grid": {
-            "S_min": g.S_min, "S_max": g.S_max, "n_S": g.n_S,
-            "q_min": g.q_min, "q_max": g.q_max, "n_q": g.n_q, "n_t": g.n_t,
-        },
-        "scheme": {"order": surface.scheme.order,
-                   "n_controls": surface.scheme.n_controls},
-        "contract": {
-            "K": surface.payoff.contract.K, "T": surface.payoff.contract.T,
-            "N": surface.payoff.contract.N, "gamma": surface.payoff.contract.gamma,
-            "q0": surface.payoff.contract.q0,
-            "settlement": surface.payoff.contract.settlement,
-        },
-    }
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)

@@ -30,7 +30,7 @@ from .minplus import shift_min
 from .model import _require_finite
 
 __all__ = ["TreeConfig", "TreeValue", "solve_tree", "tree_policy",
-           "price_with_initial_exchange", "dump_tree_csv"]
+           "price_with_initial_exchange"]
 
 _ALPHA_DEFAULT = math.sqrt(2.0)
 
@@ -119,7 +119,9 @@ class TreeValue:
         alive &= ((q >= qg[0] - 0.5 * self.dq) & (q <= qg[-1] + 0.5 * self.dq)
                   & ~np.isnan(S))
         node = self.node_index(j, S, strict=False)
-        qi = np.fmin(np.fmax(np.rint((q - qg[0]) / self.dq), 0), qg.size - 1).astype(int)
+        # a one-node grid has dq = 0; any finite step then reads node 0
+        qi = np.fmin(np.fmax(np.rint((q - qg[0]) / (self.dq or 1.0)), 0),
+                     qg.size - 1).astype(int)
         return self.control_mult[j][node, qi] * (self.dq / self.config.dt)
 
 
@@ -271,32 +273,3 @@ def tree_policy(tv: TreeValue, j: int, S: float, q: float) -> float:
     mult = tv.control_mult[j][node, tv.q_index(q)]
     return float(mult) * tv.dq / tv.config.dt
 
-
-def dump_tree_csv(tv: TreeValue, path, levels=None, metadata: str = ""):
-    """Per-level node dump: j, p, S, q, theta, v. Heavy for large trees.
-
-    levels defaults to every level, so it needs a keep_values=True solve;
-    raises ValueError, before writing, on a level the solve did not keep.
-    """
-    import csv
-
-    levels = range(tv.J + 1) if levels is None else list(levels)
-    if any(j >= len(tv.theta) for j in levels):
-        raise ValueError("the solve kept value level 0 only; solve with "
-                         "keep_values=True to dump later levels")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "p", "S", "q", "theta", "v"])
-        for j in levels:
-            S = tv.node_prices(j)
-            th = tv.theta[j]
-            if j < tv.J:
-                v = tv.control_mult[j] * (tv.dq / tv.config.dt)
-            else:
-                v = np.zeros_like(th)
-            for a in range(th.shape[0]):
-                for i in range(th.shape[1]):
-                    w.writerow([j, a - j, f"{S[a]:.10g}", f"{tv.qgrid[i]:.10g}",
-                                f"{th[a, i]:.10g}", f"{v[a, i]:.10g}"])
-        if metadata:
-            fh.write(f"# {metadata}\n")

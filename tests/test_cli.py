@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liqhedge.cli import load_config, main
+from liqhedge.fixtures import reference_path
 from liqhedge.model import bachelier_price
 from liqhedge.pde import solve_theta
 from liqhedge.simulate import run_policy_hedge
@@ -196,6 +197,20 @@ def test_hedge_path_resolution_mismatch(tmp_path, capsys):
     path = write(tmp_path, reference_dict())
     code, _ = run(capsys, "hedge", "--config", path, "--path", str(short))
     assert code == 2
+
+
+def test_hedge_path_must_start_at_zero(tmp_path, capsys):
+    # tau = T - t is read from the times: a path shifted by 10 days has the
+    # right step count and spacing but would misprice the delta column
+    t, S = reference_path()
+    shifted = tmp_path / "shifted.csv"
+    shifted.write_text("t,S\n" + "".join(
+        f"{ti + 10.0:.17g},{si:.17g}\n" for ti, si in zip(t, S)))
+    assert len(t) == 253
+    code = main(["hedge", "--config", write(tmp_path, reference_dict()),
+                 "--path", str(shifted)])
+    assert code == 2
+    assert "uniform over [0, T]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [

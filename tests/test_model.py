@@ -111,15 +111,6 @@ def test_hamiltonian_even_nonneg_monotone():
     assert np.all(np.diff(H) >= -1e-15)  # nondecreasing in |p|
 
 
-def test_hamiltonian_golden_section_fallback():
-    c = ExecutionCost(0.1, 0.75, 0.0)
-    for p in (-1.3, -0.2, 0.0, 0.4, 2.5):
-        H_cf, rho_cf = hamiltonian(c, p, 2.0)
-        H_gs, rho_gs = hamiltonian(lambda r: c(r), p, 2.0)
-        assert abs(rho_gs - rho_cf) <= 1e-8
-        assert abs(H_gs - H_cf) <= 1e-10 * max(1.0, abs(H_cf))
-
-
 def test_hamiltonian_eta_zero_bang_bang():
     c = ExecutionCost(0.0, 1.0, 0.1)
     H, rho = hamiltonian(c, 0.3, 2.0)
@@ -340,6 +331,13 @@ def test_closed_form_penalty_needs_final_volume():
         PayoffSpec(base.contract, market, base.cost)
     # an explicit penalty does not liquidate at the market's volume
     PayoffSpec(base.contract, market, base.cost, penalty=np.abs)
+
+
+def test_payoff_needs_an_execution_cost():
+    # the solvers take the Hamiltonian of this one cost family in closed form
+    base = make_reference_payoff()
+    with pytest.raises(TypeError, match="ExecutionCost"):
+        PayoffSpec(base.contract, base.market, lambda rho: 0.1 * abs(rho) ** 1.75)
 
 
 def test_payoff_terminal_with_impact_pinned():

@@ -7,7 +7,6 @@ regression value. Structural checks cover convexity, the price lower bound,
 splitting-order convergence, and grid validation.
 """
 
-import json
 import math
 
 import numpy as np
@@ -25,7 +24,6 @@ from liqhedge.model import (
 from liqhedge.pde import (
     GridSpec,
     SchemeConfig,
-    export_surface_csv,
     solve_theta,
 )
 
@@ -172,6 +170,14 @@ def test_surface_point_reads_reject_nan(reference_surface):
         surf.price(0.0, math.nan, 45.0)
     with pytest.raises(ValueError, match="hull"):
         surf.policy(0.0, np.array([1e7, 1e7]), np.array([45.0, math.inf]))
+    # a non-finite time is off the grid, not an OverflowError or a cast error
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="time grid"):
+            surf.level_of(t)
+        with pytest.raises(ValueError, match="time grid"):
+            surf.price(t, 1e7, 45.0)
+        with pytest.raises(ValueError, match="time grid"):
+            surf.policy(t, 1e7, 45.0)
 
 
 def test_terminal_level_matches_payoff(reference_surface):
@@ -180,20 +186,6 @@ def test_terminal_level_matches_payoff(reference_surface):
     expect = surf.payoff.terminal(g.q[:, None], g.S[None, :])
     np.testing.assert_allclose(surf.values[-1], expect, rtol=1e-12)
     assert np.all(surf.control[-1] == 0.0)
-
-
-def test_export_csv(tmp_path):
-    pay = reference_payoff(T=4.0)
-    surf = solve_theta(pay, small_grid(pay, n_S=21, n_q=11, n_t=4),
-                       keep_values=True)
-    out = tmp_path / "surface.csv"
-    export_surface_csv(surf, out, metadata="unit-test")
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].split(",") == ["t", "q", "S", "theta", "v_star"]
-    assert lines[-1].startswith("#") and "unit-test" in lines[-1]
-    assert len(lines) == 2 + 5 * 11 * 21
-    side = json.loads((tmp_path / "surface.csv.json").read_text())
-    assert side["grid"]["n_S"] == 21
 
 
 @pytest.fixture(scope="module")
@@ -215,17 +207,13 @@ def test_lean_solve_matches_full_solve_bit_for_bit(lean_and_full_surface):
     assert lean.price(0.0, 1e7, 45.0) == full.price(0.0, 1e7, 45.0)
 
 
-def test_lean_surface_refuses_later_levels(tmp_path, lean_and_full_surface):
+def test_lean_surface_refuses_later_levels(lean_and_full_surface):
     # values[-1] of a lean surface is level 0, so reads past it must raise
     lean, full = lean_and_full_surface
     t1 = lean.t_grid[1]
     with pytest.raises(ValueError, match="keep_values=True"):
         lean.price(t1, 1e7, 45.0)
     assert lean.policy(t1, 1e7, 45.0) == full.policy(t1, 1e7, 45.0)
-    out = tmp_path / "surface.csv"
-    with pytest.raises(ValueError, match="keep_values=True"):
-        export_surface_csv(lean, out)
-    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,19 @@ def test_policy_hedge_no_trades_at_zero_cap():
     assert st.excluded == 0 and st.n == 400
 
 
+def test_policy_hedge_on_a_one_node_inventory_grid():
+    # N = 0 with mu = r = 0 and no q bounds leaves the tree one inventory
+    # node, so dq = 0: the policy read must not divide by it (the suite
+    # turns a RuntimeWarning into an error)
+    contract = OptionContract(K=45.0, T=4.0, N=0.0, gamma=2e-7)
+    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0)
+    tv = solve_tree(PayoffSpec(contract, market, COST), TreeConfig(dt=1.0))
+    assert tv.qgrid.size == 1 and tv.dq == 0.0
+    st = run_policy_hedge(tv.payoff, tv, PathConfig(n_paths=50, n_obs=5, seed=3))
+    assert st.excluded == 0 and st.n == 50
+    assert st.mean_cost == 0.0 and st.var_cost == 0.0 and st.exec_cost_mean == 0.0
+
+
 def test_policy_hedge_solution_must_match_path_grid():
     pay = make_payoff()
     tv = solve_tree(pay, TreeConfig(dt=1.0))  # 63 levels

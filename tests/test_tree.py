@@ -23,7 +23,6 @@ from liqhedge.model import (
 )
 from liqhedge.tree import (
     TreeConfig,
-    dump_tree_csv,
     price_with_initial_exchange,
     solve_tree,
     tree_policy,
@@ -263,27 +262,6 @@ def test_tree_policy_rejects_nan_price(reference_tree):
         tree_policy(reference_tree, 3, math.nan, 1e7)
     with pytest.raises(ValueError, match="tree node"):
         reference_tree.node_index(3, np.array([45.0, math.inf]))
-
-
-def test_csv_dump(tmp_path, reference_tree):
-    out = tmp_path / "tree.csv"
-    dump_tree_csv(reference_tree, out, levels=[0, 1], metadata="unit-test")
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("j,")
-    assert lines[-1].startswith("#")
-    assert "unit-test" in lines[-1]
-    assert len(lines) > 2
-
-
-def test_csv_dump_needs_every_level(tmp_path, lean_and_full_tree):
-    lean, _ = lean_and_full_tree
-    out = tmp_path / "tree.csv"
-    for levels in (None, [0, 1]):
-        with pytest.raises(ValueError, match="keep_values=True"):
-            dump_tree_csv(lean, out, levels=levels)
-        assert not out.exists()
-    dump_tree_csv(lean, out, levels=[0])  # the level the lean solve keeps
-    assert len(out.read_text().splitlines()) == 1 + lean.qgrid.size
 
 
 # ---------------------------------------------------------------------------
