@@ -8,65 +8,14 @@ policy against Bachelier delta-hedging.
 
 __version__ = "0.1.0"
 
-from .model import (
-    VolumeCurve,
-    MarketParams,
-    ExecutionCost,
-    OptionContract,
-    PayoffSpec,
-    hamiltonian,
-    optimal_rate,
-    liquidation_penalty,
-    terminal_payoff,
-    bachelier_price,
-    bachelier_delta,
-    rescale_nominal,
-)
-from .pde import GridSpec, SchemeConfig, ThetaSurface, solve_theta
-from .tree import TreeConfig, TreeValue, price_with_initial_exchange, solve_tree, tree_policy
-from .impact import ImpactSolution, solve_with_impact
-from .simulate import (
-    PathConfig,
-    PnLStats,
-    policy_trajectory,
-    run_delta_hedge,
-    run_policy_hedge,
-    simulate_price_paths,
-    wealth_decomposition_check,
-)
-from .fixtures import reference_path
+# the package exports each module's __all__, in this order
+from . import fixtures, impact, model, pde, simulate, tree
+from .model import *
+from .pde import *
+from .tree import *
+from .impact import *
+from .simulate import *
+from .fixtures import *
 
-__all__ = [
-    "__version__",
-    "VolumeCurve",
-    "MarketParams",
-    "ExecutionCost",
-    "OptionContract",
-    "PayoffSpec",
-    "hamiltonian",
-    "optimal_rate",
-    "liquidation_penalty",
-    "terminal_payoff",
-    "bachelier_price",
-    "bachelier_delta",
-    "rescale_nominal",
-    "GridSpec",
-    "SchemeConfig",
-    "ThetaSurface",
-    "solve_theta",
-    "TreeConfig",
-    "TreeValue",
-    "price_with_initial_exchange",
-    "solve_tree",
-    "tree_policy",
-    "ImpactSolution",
-    "solve_with_impact",
-    "PathConfig",
-    "PnLStats",
-    "policy_trajectory",
-    "run_delta_hedge",
-    "run_policy_hedge",
-    "simulate_price_paths",
-    "wealth_decomposition_check",
-    "reference_path",
-]
+__all__ = ["__version__", *model.__all__, *pde.__all__, *tree.__all__,
+           *impact.__all__, *simulate.__all__, *fixtures.__all__]

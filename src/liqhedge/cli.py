@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .fixtures import reference_path
+from .fixtures import _parse_path_csv, reference_path
 from .impact import solve_with_impact
 from .model import (
     ExecutionCost,
@@ -222,11 +222,14 @@ def _meta_line(cfg: RunConfig) -> str:
 
 
 def _emit(text: str, out: Optional[str]):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write output: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +266,11 @@ def _load_path_file(path: Optional[str]):
         return reference_path()
     try:
         with open(path) as fh:
-            lines = [ln for ln in fh.read().strip().splitlines()
-                     if ln and not ln.startswith("#")]
+            return _parse_path_csv(fh.read())
     except OSError as e:
         raise ConfigError(f"cannot read path file: {e}")
-    if not lines or [h.strip() for h in lines[0].split(",")][:2] != ["t", "S"]:
-        raise ConfigError("path file must have columns t,S")
-    try:
-        arr = np.asarray([ln.split(",")[:2] for ln in lines[1:]], dtype=float)
     except ValueError as e:
         raise ConfigError(f"path file: {e}")
-    if arr.shape[1:] != (2,) or len(arr) < 2 or not np.isfinite(arr).all():
-        raise ConfigError("path file needs at least two rows of finite t,S")
-    return arr[:, 0], arr[:, 1]
 
 
 def cmd_hedge(cfg: RunConfig, args) -> str:
@@ -428,14 +423,13 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, engine_override=args.engine,
                           seed_override=args.seed)
-        text = args.fn(cfg, args)
+        _emit(args.fn(cfg, args), args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    _emit(text, args.out)
     return 0
 
 

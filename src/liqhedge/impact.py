@@ -14,7 +14,7 @@ from typing import Optional
 
 from .model import PayoffSpec
 from .pde import GridSpec, SchemeConfig, solve_theta
-from .tree import TreeConfig, price_with_initial_exchange, solve_tree
+from .tree import TreeConfig, solve_tree
 
 __all__ = ["ImpactSolution", "solve_with_impact"]
 
@@ -36,10 +36,9 @@ def solve_with_impact(payoff: PayoffSpec, engine: str = "pde",
     """
     if engine not in ("pde", "tree"):
         raise ValueError(f"unknown engine {engine!r}")
-    c, m = payoff.contract, payoff.market
     if engine == "pde":
-        surf = solve_theta(payoff, grid if grid is not None else GridSpec.default(payoff),
-                           scheme if scheme is not None else SchemeConfig())
-        return ImpactSolution(surf, surf.price(0.0, c.q0, m.S0))
-    tv = solve_tree(payoff, config if config is not None else TreeConfig())
-    return ImpactSolution(tv, price_with_initial_exchange(tv))
+        sol = solve_theta(payoff, grid if grid is not None else GridSpec.default(payoff),
+                          scheme if scheme is not None else SchemeConfig())
+    else:
+        sol = solve_tree(payoff, config if config is not None else TreeConfig())
+    return ImpactSolution(sol, sol.price(0.0, payoff.contract.q0, payoff.market.S0))

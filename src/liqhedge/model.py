@@ -109,6 +109,20 @@ def _require_finite(obj, *names):
             raise ValueError(f"{name} must be finite")
 
 
+def _level_of(t_grid, t, kept=None) -> int:
+    """Index n of the time level t_grid[n] = t, to 1e-6 of a step, for
+    either engine's solution. Raises ValueError off the grid, and at a level
+    n >= kept, one whose value a lean solve did not keep."""
+    x = float(t) / float(t_grid[1] - t_grid[0])  # Python floats: inf, no warning
+    n = int(round(x)) if math.isfinite(x) else -1  # inf/NaN: off the grid
+    if not (0 <= n < len(t_grid)) or abs(x - n) > 1e-6:
+        raise ValueError(f"t={t} is not on the time grid")
+    if kept is not None and n >= kept:
+        raise ValueError(f"t={t}: the solve kept theta at t = 0 only; "
+                         "solve with keep_values=True to read later levels")
+    return n
+
+
 def _as_volume(volume) -> VolumeCurve:
     if isinstance(volume, VolumeCurve):
         return volume

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .minplus import shift_min
-from .model import _require_finite, optimal_rate
+from .model import _level_of, _require_finite, optimal_rate
 
 __all__ = ["GridSpec", "SchemeConfig", "ThetaSurface", "solve_theta"]
 
@@ -128,17 +128,6 @@ class ThetaSurface:
         self.control = control
         self.t_grid = np.linspace(0.0, payoff.contract.T, grid.n_t + 1)
 
-    @property
-    def dt(self) -> float:
-        return self.t_grid[1] - self.t_grid[0]
-
-    def level_of(self, t: float) -> int:
-        x = t / self.dt
-        n = int(round(x)) if math.isfinite(x) else -1  # inf/NaN: off the grid
-        if not (0 <= n <= self.grid.n_t) or abs(x - n) > 1e-6:
-            raise ValueError(f"t={t} is not on the time grid")
-        return n
-
     def _bilinear(self, arr2d: np.ndarray, q, S):
         """Point read: raises unless every (q, S) is in the grid hull."""
         g = self.grid
@@ -171,15 +160,12 @@ class ThetaSurface:
     def price(self, t: float, q, S):
         """Bilinear interpolation of theta at (t, q, S); t must be a level
         the solve kept (t = 0 only, unless solved with keep_values=True)."""
-        n = self.level_of(t)
-        if n >= len(self.values):
-            raise ValueError(f"t={t}: the solve kept theta at t = 0 only; "
-                             "solve with keep_values=True to read later levels")
+        n = _level_of(self.t_grid, t, len(self.values))
         return self._bilinear(self.values[n], q, S)
 
     def policy(self, t: float, q, S):
         """Interpolated optimal trading speed (shares/day) at (t, q, S)."""
-        return self._bilinear(self.control[self.level_of(t)], q, S)
+        return self._bilinear(self.control[_level_of(self.t_grid, t)], q, S)
 
     def policy_speeds(self, level: int, q, S, alive):
         """Speeds (shares/day) at each path's (q, S), clipped to the grid, on

@@ -27,10 +27,9 @@ from typing import Optional
 import numpy as np
 
 from .minplus import shift_min
-from .model import _require_finite
+from .model import _level_of, _require_finite
 
-__all__ = ["TreeConfig", "TreeValue", "solve_tree", "tree_policy",
-           "price_with_initial_exchange"]
+__all__ = ["TreeConfig", "TreeValue", "solve_tree", "price_with_initial_exchange"]
 
 _ALPHA_DEFAULT = math.sqrt(2.0)
 
@@ -109,6 +108,22 @@ class TreeValue:
                            and np.all(np.abs(p - p_int) <= 1e-6)):
             raise ValueError(f"S={S} is not a level-{j} tree node")
         return np.fmin(np.fmax(p_int, -j), j).astype(int) + j
+
+    def price(self, t: float, q: float, S: float) -> float:
+        """theta at time level t, inventory grid point q and level node S;
+        t must be a level the solve kept (t = 0 only, unless solved with
+        keep_values=True)."""
+        j = _level_of(self.t_grid, t, len(self.theta))
+        return float(self.theta[j][self.node_index(j, S), self.q_index(q)])
+
+    def policy(self, t: float, q: float, S: float) -> float:
+        """Optimal trading speed (shares/day) at time level t < T, inventory
+        grid point q and level node S."""
+        j = _level_of(self.t_grid, t)
+        if j == self.J:
+            raise ValueError(f"t={t}: the tree holds no policy at t = T")
+        mult = self.control_mult[j][self.node_index(j, S), self.q_index(q)]
+        return float(mult) * self.dq / self.config.dt
 
     def policy_speeds(self, level: int, q, S, alive):
         """Speeds (shares/day) at the nodes of level min(level, J-1) nearest
@@ -193,10 +208,14 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = Fa
         trade = m.rho_max * m.volume.final_value * dt
         if abs(trade / dq - round(trade / dq)) > 1e-6:
             raise ValueError("rho_max*V*dt must be an integer multiple of dq")
+    t_grid = dt * np.arange(J + 1)
+    theta = [None] * (J + 1) if keep_values else [None]
+    ctrl = [None] * J
+    # the solution is built first, so its own grid check vets q0; the
+    # induction below fills its level lists in place
+    tv = TreeValue(payoff, config, qgrid, theta, ctrl, t_grid)
     if c.N > 0:
-        i0 = int(np.argmin(np.abs(qgrid - c.q0)))
-        if abs(qgrid[i0] - c.q0) > 1e-6 * max(1.0, abs(c.q0)):
-            raise ValueError("q0 must lie on the inventory grid")
+        tv.q_index(c.q0)
 
     gamma = c.gamma
     drift, step = _lattice(m, config)
@@ -204,10 +223,7 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = Fa
     p_mid = 1.0 - 1.0 / alpha**2
     growth = math.expm1(m.r * dt)  # e^{r dt} - 1
 
-    t_grid = dt * np.arange(J + 1)
     leaf_S = _node_prices(m, config, J)
-    theta = [None] * (J + 1) if keep_values else [None]
-    ctrl = [None] * J
     # levels are computed inventory-major, (n_q, nodes) C-contiguous, so the
     # min-plus sweep's shifted slices are contiguous; theta[j] and ctrl[j]
     # are their transposed (nodes, n_q) views
@@ -255,21 +271,11 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = Fa
         if keep_values or j == 0:
             theta[j] = nxt.T
 
-    return TreeValue(payoff, config, qgrid, theta, ctrl, t_grid)
+    return tv
 
 
 def price_with_initial_exchange(tv: TreeValue, q0: Optional[float] = None) -> float:
     """theta_0(q0, S0): indifference price after the client hands over q0 at S0."""
     if q0 is None:
         q0 = tv.payoff.contract.q0
-    return float(tv.theta[0][0, tv.q_index(q0)])
-
-
-def tree_policy(tv: TreeValue, j: int, S: float, q: float) -> float:
-    """Optimal trading speed v (shares/day) at level j, node price S, inventory q."""
-    if not 0 <= j < tv.J:
-        raise ValueError("policy defined for 0 <= j < J")
-    node = tv.node_index(j, S)
-    mult = tv.control_mult[j][node, tv.q_index(q)]
-    return float(mult) * tv.dq / tv.config.dt
-
+    return tv.price(0.0, q0, tv.payoff.market.S0)

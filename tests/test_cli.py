@@ -219,10 +219,11 @@ def test_hedge_path_must_start_at_zero(tmp_path, capsys):
     "t,S\n0,45\nx,45\n",
     "t,S\n0\n1\n",
     "t,S\n0,45\n1,nan\n",
+    b"t,S\n0,45\n\xff,1\n",  # not UTF-8
 ])
 def test_hedge_bad_path_file_is_config_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.csv"
-    bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     path = write(tmp_path, reference_dict())
     code = main(["hedge", "--config", path, "--path", str(bad)])
     assert code == 2
@@ -422,6 +423,16 @@ def test_out_flag_writes_file(tmp_path, capsys):
     code, out = run(capsys, "price", "--config", path, "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["engine"] == "tree"
+
+
+def test_out_flag_unwritable_path_is_config_error(tmp_path, capsys):
+    cfg = reference_dict(solver={"engine": "tree", "tree": {"dt": 1.0}})
+    target = tmp_path / "missing" / "price.json"
+    code = main(["price", "--config", write(tmp_path, cfg), "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("config error: cannot write output:")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Impact-transform tests: degeneration at k=0, the terminal formulas by
 direct substitution, the uniform-offset identity on the tree engine, and
-price monotonicity in k."""
+price monotonicity in k; the dispatcher and the point reads both engines'
+solutions share."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from liqhedge.model import (
     VolumeCurve,
 )
 from liqhedge.impact import solve_with_impact
-from liqhedge.pde import GridSpec
+from liqhedge.pde import GridSpec, solve_theta
 from liqhedge.tree import TreeConfig, price_with_initial_exchange, solve_tree
 
 
@@ -102,3 +104,55 @@ def test_observed_price_map():
 def test_engine_name_validated():
     with pytest.raises(ValueError):
         solve_with_impact(make_payoff(), "fd")
+
+
+@pytest.mark.parametrize("engine", ["tree", "pde"])
+def test_point_reads_share_one_interface(engine):
+    # both solutions answer price(t, q, S) and policy(t, q, S) at their grid
+    # points, raise ValueError off the grid, and the dispatcher's price is
+    # the solution's own read at (0, q0, S0)
+    pay = make_payoff()
+    c, m = pay.contract, pay.market
+    grid = GridSpec.default(pay, n_S=21, n_q=11, steps_per_day=1.0)
+    tree_cfg = TreeConfig(dt=0.5)
+    if engine == "tree":
+        sol = solve_tree(pay, tree_cfg, keep_values=True)
+        q_axis, rtol = sol.qgrid, 0.0  # the tree reads its arrays exactly
+        points = [(sol.t_grid[n], sol.qgrid[i], sol.node_prices(n)[k],
+                   sol.theta[n][k, i],
+                   float(sol.control_mult[n][k, i]) * sol.dq / sol.config.dt)
+                  for n in (0, 3, sol.J - 1) for k in (0, n, 2 * n)
+                  for i in (0, 100, 200)]
+    else:
+        sol = solve_theta(pay, grid, keep_values=True)
+        q_axis, rtol = grid.q, 1e-12  # bilinear weights at a node are 1 +- ulp
+        points = [(sol.t_grid[n], grid.q[i], grid.S[k], sol.values[n, i, k],
+                   sol.control[n, i, k])
+                  for n in (0, 3, grid.n_t) for k in (0, 10, 20) for i in (0, 5, 10)]
+    for t, q, S, price, policy in points:
+        np.testing.assert_allclose(sol.price(t, q, S), price, rtol=rtol)
+        np.testing.assert_allclose(sol.policy(t, q, S), policy, rtol=rtol,
+                                   atol=rtol * 1e7)
+
+    for t in (sol.t_grid[1] / 3, math.inf, -math.inf, math.nan, 1e308, -1e308):
+        for read in (sol.price, sol.policy):
+            with pytest.raises(ValueError, match="time grid"):
+                read(t, c.q0, m.S0)
+    for q, S in ((q_axis[-1] + 1e6, m.S0), (math.nan, m.S0), (math.inf, m.S0),
+                 (c.q0, m.S0 + 1e3), (c.q0, math.nan), (c.q0, -math.inf)):
+        for read in (sol.price, sol.policy):
+            with pytest.raises(ValueError):
+                read(0.0, q, S)
+
+    # at t = T the tree holds no policy; the surface stores a zero level
+    if engine == "tree":
+        with pytest.raises(ValueError, match="t = T"):
+            sol.policy(c.T, c.q0, m.S0)
+    else:
+        assert sol.policy(c.T, c.q0, m.S0) == 0.0
+
+    via = solve_with_impact(pay, engine, grid=grid, config=tree_cfg)
+    assert via.price == sol.price(0.0, c.q0, m.S0)
+    assert via.price == via.solution.price(0.0, c.q0, m.S0)
+    with pytest.raises(ValueError, match="keep_values=True"):
+        via.solution.price(sol.t_grid[1], c.q0, m.S0)

@@ -170,10 +170,9 @@ def test_surface_point_reads_reject_nan(reference_surface):
         surf.price(0.0, math.nan, 45.0)
     with pytest.raises(ValueError, match="hull"):
         surf.policy(0.0, np.array([1e7, 1e7]), np.array([45.0, math.inf]))
-    # a non-finite time is off the grid, not an OverflowError or a cast error
-    for t in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="time grid"):
-            surf.level_of(t)
+    # a non-finite or huge time is off the grid: no OverflowError, no cast
+    # error and no overflow warning in t / dt
+    for t in (math.inf, -math.inf, math.nan, 1e308, -1e308):
         with pytest.raises(ValueError, match="time grid"):
             surf.price(t, 1e7, 45.0)
         with pytest.raises(ValueError, match="time grid"):

@@ -29,7 +29,7 @@ from liqhedge.simulate import (
     _normal_matrix,
     _twap_matrix,
 )
-from liqhedge.tree import TreeConfig, solve_tree, tree_policy
+from liqhedge.tree import TreeConfig, solve_tree
 
 COST = ExecutionCost(0.1, 0.75)
 
@@ -334,6 +334,7 @@ def test_policy_speeds_read_both_engines():
     surf = solve_theta(pay, GridSpec(S_min=36.0, S_max=54.0, n_S=21, q_min=-2e6,
                                      q_max=2.2e7, n_q=11, n_t=4))
     level = 2
+    t = tv.t_grid[level]
 
     for sol in (tv, surf):
         alive = np.ones(3, dtype=bool)
@@ -349,14 +350,14 @@ def test_policy_speeds_read_both_engines():
     assert alive.all()
     nodes = tv.node_prices(level)
     np.testing.assert_array_equal(
-        v, [tree_policy(tv, level, s, 1e7) for s in (nodes[0], 45.0, nodes[-1])])
+        v, [tv.policy(t, 1e7, s) for s in (nodes[0], 45.0, nodes[-1])])
 
     q = np.array([0.0, 5e6, 1e7, 1.5e7, 2e7])
     alive = np.ones(5, dtype=bool)
     v = tv.policy_speeds(level, q, nodes, alive)
     assert alive.all() and np.any(v != 0)
     np.testing.assert_array_equal(
-        v, [tree_policy(tv, level, s, qi) for s, qi in zip(nodes, q)])
+        v, [tv.policy(t, qi, s) for s, qi in zip(nodes, q)])
     np.testing.assert_array_equal(tv.policy_speeds(tv.J, q, nodes, alive),
                                   tv.policy_speeds(tv.J - 1, q, nodes, alive))
 
@@ -378,7 +379,7 @@ def test_policy_speeds_drop_nan_paths(small_surface):
                     TreeConfig(dt=1.0, alpha=1.5, dq=1e5, q_min=0.0, q_max=2e7))
     surf, level = small_surface, 2
     q, S = np.array([1e7, np.nan, 1e7]), np.array([45.0, 45.0, np.nan])
-    for sol, want in ((tv, tree_policy(tv, level, 45.0, 1e7)),
+    for sol, want in ((tv, tv.policy(tv.t_grid[level], 1e7, 45.0)),
                       (surf, surf.policy(surf.t_grid[level], 1e7, 45.0))):
         alive = np.ones(3, dtype=bool)
         with warnings.catch_warnings():
@@ -394,7 +395,7 @@ def test_policy_speeds_drop_nan_paths(small_surface):
     nodes = tv.node_prices(level)
     assert alive.all()
     np.testing.assert_array_equal(
-        v, [tree_policy(tv, level, s, 1e7) for s in (nodes[0], nodes[-1])])
+        v, [tv.policy(tv.t_grid[level], 1e7, s) for s in (nodes[0], nodes[-1])])
 
 
 @pytest.fixture(scope="module")

@@ -25,7 +25,6 @@ from liqhedge.tree import (
     TreeConfig,
     price_with_initial_exchange,
     solve_tree,
-    tree_policy,
 )
 
 
@@ -177,7 +176,7 @@ def test_policy_feasible_and_on_lattice(reference_tree):
     for j in (0, tv.J // 2, tv.J - 1):
         S = tv.node_prices(j)
         for s in (S[0], S[len(S) // 2], S[-1]):
-            v = tree_policy(tv, j, s, 1e7)
+            v = tv.policy(tv.t_grid[j], 1e7, s)
             assert abs(v) <= cap + 1e-6
             assert abs(v / step - round(v / step)) < 1e-9
 
@@ -253,15 +252,17 @@ def test_price_with_initial_exchange_rejects_nan(reference_tree):
 
 
 def test_tree_policy_rejects_infinite_inventory(reference_tree):
+    tv = reference_tree
     with pytest.raises(ValueError, match="inventory grid"):
-        tree_policy(reference_tree, 3, 45.0, math.inf)
+        tv.policy(tv.t_grid[3], math.inf, 45.0)
 
 
 def test_tree_policy_rejects_nan_price(reference_tree):
+    tv = reference_tree
     with pytest.raises(ValueError, match="tree node"):
-        tree_policy(reference_tree, 3, math.nan, 1e7)
+        tv.policy(tv.t_grid[3], 1e7, math.nan)
     with pytest.raises(ValueError, match="tree node"):
-        reference_tree.node_index(3, np.array([45.0, math.inf]))
+        tv.node_index(3, np.array([45.0, math.inf]))
 
 
 # ---------------------------------------------------------------------------
