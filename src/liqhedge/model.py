@@ -319,9 +319,10 @@ class PayoffSpec:
     Bundles the contract, market and execution cost together with the
     liquidation penalty used at maturity. cost must be an ExecutionCost,
     the family whose Hamiltonian the solvers take in closed form (TypeError
-    otherwise). `penalty_rate` defaults to the market participation cap;
-    the closed-form penalty needs a final volume segment > 0. `penalty`
-    overrides it with an arbitrary even function of q (used for degenerate
+    otherwise). The closed-form penalty unwinds at `liquidation_rate`:
+    `penalty_rate`, kept as given, or the market participation cap while
+    it is None; it needs a final volume segment > 0. `penalty` overrides
+    it with an arbitrary even function of q (used for degenerate
     benchmarks).
     """
 
@@ -336,19 +337,22 @@ class PayoffSpec:
             raise TypeError("cost must be an ExecutionCost, "
                             f"got {type(self.cost).__name__}")
         if self.penalty is None:
-            rate = self.penalty_rate if self.penalty_rate is not None else self.market.rho_max
-            if not (0 < rate <= self.market.rho_max):
+            if not (0 < self.liquidation_rate <= self.market.rho_max):
                 raise ValueError("penalty_rate must satisfy 0 < rate <= rho_max")
             if not (self.market.volume.final_value > 0):
                 raise ValueError("liquidation needs market volume > 0 on the final segment")
-            object.__setattr__(self, "penalty_rate", float(rate))
+
+    @property
+    def liquidation_rate(self) -> float:
+        """Participation rate of the unwind: penalty_rate, or rho_max if None."""
+        return self.market.rho_max if self.penalty_rate is None else self.penalty_rate
 
     def liquidation(self, q):
         """ell(q): penalty for holding q shares at maturity."""
         if self.penalty is not None:
             return self.penalty(np.asarray(q, dtype=float))
         return liquidation_penalty(
-            q, self.cost, self.penalty_rate, self.contract.gamma,
+            q, self.cost, self.liquidation_rate, self.contract.gamma,
             self.market.sigma, self.market.volume.final_value,
         )
 

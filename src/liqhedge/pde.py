@@ -41,6 +41,7 @@ from .model import _level_of, _require_finite, optimal_rate
 __all__ = ["GridSpec", "SchemeConfig", "ThetaSurface", "solve_theta"]
 
 _MAX_SUBSTEPS = 100_000  # CFL substeps per time step before giving up
+_CFL_SAFETY = 0.9  # fraction of the CFL-bound step each Godunov substep takes
 
 
 @dataclass(frozen=True)
@@ -93,21 +94,17 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Splitting order ("ABC" or "ACB"; A always first), control-set size for
-    the semi-Lagrangian step, CFL safety factor in (0, 1] for the Godunov
-    substep."""
+    """Splitting order ("ABC" or "ACB"; A always first) and control-set
+    size for the semi-Lagrangian step."""
 
     order: str = "ABC"
     n_controls: int = 41
-    cfl_safety: float = 0.9
 
     def __post_init__(self):
         if self.order not in ("ABC", "ACB"):
             raise ValueError("order must be 'ABC' or 'ACB'")
         if self.n_controls < 3 or self.n_controls % 2 == 0:
             raise ValueError("n_controls must be odd and >= 3 (0 must be a candidate)")
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise ValueError("cfl_safety must satisfy 0 < cfl_safety <= 1")
 
 
 class ThetaSurface:
@@ -208,7 +205,7 @@ def _step_A(theta: np.ndarray, ab: np.ndarray, source: Optional[np.ndarray]) -> 
 
 
 def _step_B(theta: np.ndarray, qcol: np.ndarray, dS: float, coef: float,
-            dt: float, scheme: SchemeConfig) -> np.ndarray:
+            dt: float) -> np.ndarray:
     """Explicit monotone Godunov update for the (d_S theta - q)^2 term.
 
     coef = gamma*sigma^2*e^{r tau}; the effective slope gap is
@@ -229,7 +226,7 @@ def _step_B(theta: np.ndarray, qcol: np.ndarray, dS: float, coef: float,
         gmax = float(gap.max())
         if coef * gmax <= 0.0:
             break
-        sub = min(dt - done, scheme.cfl_safety * dS / (coef * gmax))
+        sub = min(dt - done, _CFL_SAFETY * dS / (coef * gmax))
         theta = theta + (0.5 * coef * sub) * gap**2
         done += sub
         n += 1
@@ -239,8 +236,9 @@ def _step_B(theta: np.ndarray, qcol: np.ndarray, dS: float, coef: float,
 
 
 def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
-            V: float, dt: float, scheme: SchemeConfig):
-    """Semi-Lagrangian trading substep; returns (new theta, control v)."""
+            V: float, dt: float, rates: np.ndarray):
+    """Semi-Lagrangian trading substep over the nonzero control `rates`
+    (|rho| ascending, negative first); returns (new theta, control v)."""
     nq = theta.shape[0]
     dq = qgrid[1] - qgrid[0] if nq > 1 else 0.0
     if rho_max <= 0 or V <= 0 or nq < 2:
@@ -256,11 +254,7 @@ def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
     speeds = np.arange(-m_cap, m_cap + 1) * dq / (V * dt) * V
     vstar = speeds[shift + m_cap]
 
-    grid_rhos = np.linspace(-rho_max, rho_max, scheme.n_controls)
-    order = np.lexsort((grid_rhos > 0, np.abs(grid_rhos)))  # |rho| asc, neg first
-    for rho in grid_rhos[order]:
-        if rho == 0.0:
-            continue
+    for rho in rates:
         run_cost = V * cost(rho) * dt
         s = rho * V * dt / dq
         w = math.floor(s)
@@ -329,6 +323,9 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
         values[grid.n_t] = theta
 
     ab = _build_banded_A(grid, m, dt)
+    rates = np.linspace(-m.rho_max, m.rho_max, scheme.n_controls)
+    rates = rates[np.lexsort((rates > 0, np.abs(rates)))]  # |rho| asc, neg first
+    rates = rates[rates != 0.0]
     # q-dependent source of the linear substep: -dt*(mu - r*S)*q
     if m.mu != 0.0 or m.r != 0.0:
         source = -dt * (m.mu - m.r * Sgrid[None, :]) * qcol
@@ -348,18 +345,14 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
         coef = c.gamma * m.sigma**2 * math.exp(m.r * tau_new)
         V = float(m.volume.at(n * dt))  # [t_n, t_{n+1}) trades against V(t_n)
 
-        theta = _step_A(theta, ab, source)
-        check("A", n, theta)
-        if scheme.order == "ABC":
-            theta = _step_B(theta, qcol, dS, coef, dt, scheme)
-            check("B", n, theta)
-            theta, vstar = _step_C(theta, qgrid, payoff.cost, m.rho_max, V, dt, scheme)
-            check("C", n, theta)
-        else:
-            theta, vstar = _step_C(theta, qgrid, payoff.cost, m.rho_max, V, dt, scheme)
-            check("C", n, theta)
-            theta = _step_B(theta, qcol, dS, coef, dt, scheme)
-            check("B", n, theta)
+        for step in scheme.order:
+            if step == "A":
+                theta = _step_A(theta, ab, source)
+            elif step == "B":
+                theta = _step_B(theta, qcol, dS, coef, dt)
+            else:
+                theta, vstar = _step_C(theta, qgrid, payoff.cost, m.rho_max, V, dt, rates)
+            check(step, n, theta)
         if keep_values or n == 0:
             values[n] = theta
         control[n] = vstar

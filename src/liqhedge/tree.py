@@ -42,7 +42,8 @@ class TreeConfig:
     in [0, 1]. dq, q_min, q_max default per problem: dq is the largest
     divisor of rho_max*V*dt with N/dq >= 200, and the inventory grid is
     [0, N] when mu = r = 0 (inventory never profitably leaves it) and
-    [-0.1N, 1.1N] otherwise.
+    [-0.1N, 1.1N] otherwise. Each of q_min, q_max that is given replaces
+    its own default bound.
     """
 
     dt: float = 0.25
@@ -163,12 +164,9 @@ def _default_qgrid(payoff, config: TreeConfig):
         dq = c.N / 200.0
     else:
         dq = 1.0
-    if config.q_min is not None and config.q_max is not None:
-        lo, hi = float(config.q_min), float(config.q_max)
-    elif m.mu == 0.0 and m.r == 0.0:
-        lo, hi = 0.0, c.N
-    else:
-        lo, hi = -0.1 * c.N, 1.1 * c.N
+    lo, hi = (0.0, c.N) if m.mu == 0.0 and m.r == 0.0 else (-0.1 * c.N, 1.1 * c.N)
+    lo = lo if config.q_min is None else float(config.q_min)
+    hi = hi if config.q_max is None else float(config.q_max)
     if hi < lo:
         raise ValueError("q_max must be >= q_min")
     if hi == lo:

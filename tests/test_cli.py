@@ -110,6 +110,36 @@ def test_missing_section_bad_json_missing_file(tmp_path, capsys):
     assert run(capsys, "price", "--config", str(tmp_path / "absent.json"))[0] == 2
 
 
+@pytest.mark.parametrize("data", [
+    b'{"market": "\xff"}',                # not UTF-8
+    b"[" * 200_000 + b"]" * 200_000,      # nested past the decoder's depth
+], ids=["not-utf8", "too-deep"])
+def test_undecodable_config_is_config_error(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code = main(["price", "--config", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: config is not valid JSON")
+    assert len(err.splitlines()) == 1
+
+
+def test_integer_keys_take_integral_numbers_only(tmp_path, capsys):
+    # truncating would quietly run n_S = 21, M = [2] and seed = 1
+    for extra in ({"solver": {"pde": {"n_S": 21.5}}},
+                  {"simulation": {"M": [2.7]}},
+                  {"simulation": {"seed": True}}):
+        code = main(["price", "--config", write(tmp_path, reference_dict(**extra))])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+    # an integral number in any JSON spelling is taken
+    rc = load_config(write(tmp_path, reference_dict(
+        solver={"pde": {"n_S": 2.41e2}},
+        simulation={"n_paths": 1e4, "seed": 7.0, "M": [1e1, 20]})))
+    assert (rc.grid.n_S, rc.sim.n_paths, rc.sim.seed, rc.M_list) == (241, 10000, 7, [10, 20])
+    assert all(type(v) is int for v in (rc.grid.n_S, rc.sim.n_paths, rc.sim.seed, *rc.M_list))
+
+
 def test_invalid_field_value_reports_config_error(tmp_path, capsys):
     cfg = reference_dict()
     cfg["market"]["sigma"] = -1.0
@@ -135,7 +165,7 @@ def test_invalid_field_value_reports_config_error(tmp_path, capsys):
     ("price", "solver", "pde", {"n_S": float("inf")}),
     ("price", "solver", "pde", {"n_q": float("inf")}),
     ("price", "solver", "pde", {"steps_per_day": float("inf")}),
-    ("price", "solver", "pde", {"cfl_safety": 0.0}),
+    ("price", "solver", "pde", {"cfl_safety": 0.9}),  # not a solver.pde key
     ("price", "solver", "pde", {"steps_per_day": -3}),
     ("price", "solver", "pde", {"steps_per_day": 0}),
     ("price", "solver", "pde", {"q_min": 0.0, "q_max": 0.0}),  # empty q range
@@ -450,7 +480,7 @@ FUZZ_BASE = {
         "tree": {"dt": 1.0, "alpha": 1.5, "dq": 1e5, "q_min": 0.0, "q_max": 2e7},
         "pde": {"n_S": 21, "n_q": 11, "steps_per_day": 2, "S_min": 36.0,
                 "S_max": 54.0, "q_min": -2e6, "q_max": 2.2e7, "order": "ABC",
-                "n_controls": 5, "cfl_safety": 0.9},
+                "n_controls": 5},
     },
     "simulation": {"n_paths": 40, "n_obs": 5, "seed": 1, "M": [2, 4],
                    "strategies": ["delta", "policy"]},
@@ -460,6 +490,15 @@ FUZZ_COMMANDS = (
     ("simulate",), ("simulate", "--engine", "tree"),
     ("sweep", "--param", "k", "--values", "0,1e-7"),
 )
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS, ids=" ".join)
+def test_fuzz_base_config_runs(tmp_path, capsys, command):
+    # every mutation starts from this config, so it must run cleanly itself
+    code = main([command[0], "--config", write(tmp_path, FUZZ_BASE), *command[1:]])
+    assert code == 0, capsys.readouterr().err
+
+
 MUTATIONS = ("wrong type", "nan", "+inf", "-inf", "negative", "zero", "empty",
              "missing")
 

@@ -5,6 +5,7 @@ liquidation penalty and the Bachelier price. Frozen values computed from
 those oracles are asserted alongside.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -321,6 +322,25 @@ def test_payoff_penalty_override():
                    penalty=lambda q: np.zeros_like(np.asarray(q, dtype=float)))
     assert terminal_payoff(1e7, 44.0, p) == 0.0
     assert terminal_payoff(1e7, 47.0, p) == pytest.approx(4e7)
+
+
+def test_payoff_keeps_penalty_rate_as_given():
+    # None unwinds at rho_max, so a replaced market moves the penalty with it
+    base = make_reference_payoff()
+    assert base.penalty_rate is None and base.liquidation_rate == 5.0
+    q = np.linspace(-2e7, 2e7, 9)
+    for rho_max in (10.0, 0.5):
+        market = dataclasses.replace(base.market, rho_max=rho_max)
+        moved = dataclasses.replace(base, market=market)
+        fresh = PayoffSpec(base.contract, market, base.cost)
+        assert moved.penalty_rate is None and moved.liquidation_rate == rho_max
+        np.testing.assert_array_equal(moved.liquidation(q), fresh.liquidation(q))
+    # a given rate stays the rate, within the cap of every market it meets
+    pinned = dataclasses.replace(base, penalty_rate=1.0)
+    wide = dataclasses.replace(pinned, market=dataclasses.replace(base.market, rho_max=10.0))
+    assert wide.penalty_rate == wide.liquidation_rate == 1.0
+    with pytest.raises(ValueError, match="penalty_rate"):
+        dataclasses.replace(pinned, market=dataclasses.replace(base.market, rho_max=0.5))
 
 
 def test_closed_form_penalty_needs_final_volume():

@@ -277,6 +277,19 @@ def test_solves_permanent_impact_pinned():
     assert price_with_initial_exchange(tv) == 25006088.627682924
 
 
+def test_each_given_q_bound_moves_only_its_own_end():
+    pay = reference_payoff(T=4.0)
+    base = solve_tree(pay, TreeConfig(dt=1.0)).qgrid  # [0, N] at dq = 1e5
+    assert (base[0], base[-1], base.size) == (0.0, 2e7, 201)
+    low = solve_tree(pay, TreeConfig(dt=1.0, q_min=-1e6)).qgrid
+    np.testing.assert_array_equal(
+        low, solve_tree(pay, TreeConfig(dt=1.0, q_min=-1e6, q_max=2e7)).qgrid)
+    assert (low[0], low[-1], low.size) == (-1e6, 2e7, 211)
+    high = solve_tree(pay, TreeConfig(dt=1.0, q_max=2.2e7)).qgrid
+    np.testing.assert_array_equal(high[:base.size], base)
+    assert (high[-1], high.size) == (2.2e7, 221)
+
+
 def test_rejects_bad_grids():
     pay = reference_payoff(T=8.0)
     with pytest.raises(ValueError):
