@@ -87,31 +87,46 @@ def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
 
+def _number(value):
+    """A JSON number as a float; a boolean, a string or anything else raises."""
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value):
+    """A number, or a list of numbers, as _number reads each."""
+    return [_number(v) for v in value] if isinstance(value, list) else _number(value)
+
+
 def _per_day(annual):
-    return float(annual) / DAYS_PER_YEAR
+    return _number(annual) / DAYS_PER_YEAR
 
 
 def _int(value):
     """An integral JSON number, such as 21 or 1e4; anything else raises."""
-    if type(value) not in (int, float) or not float(value).is_integer():
+    if not _number(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
 _TABLES = {
-    "market": {"S0": float, "sigma": float, "rho_max": float,
-               "mu": _per_day, "r": _per_day, "k": float,
+    "market": {"S0": _number, "sigma": _number, "rho_max": _number,
+               "mu": _per_day, "r": _per_day, "k": _number,
                # shares per day, or a {starts, values} curve
-               "volume": lambda v: VolumeCurve(**v) if isinstance(v, dict) else v},
-    "cost": {"eta": float, "phi": float, "psi": float},
-    "contract": {"K": float, "T": float, "N": float, "gamma": float,
-                 "q0": float, "settlement": str, "penalty_rate": _optional(float)},
-    "solver.tree": {"dt": float, "alpha": float, "dq": _optional(float),
-                    "q_min": _optional(float), "q_max": _optional(float)},
+               "volume": lambda v: (
+                   VolumeCurve(**{key: _numbers(x) for key, x in v.items()})
+                   if isinstance(v, dict) else _number(v))},
+    "cost": {"eta": _number, "phi": _number, "psi": _number},
+    "contract": {"K": _number, "T": _number, "N": _number, "gamma": _number,
+                 "q0": _number, "settlement": str, "penalty_rate": _optional(_number)},
+    "solver.tree": {"dt": _number, "alpha": _number, "dq": _optional(_number),
+                    "q_min": _optional(_number), "q_max": _optional(_number)},
     # the SchemeConfig keys, then the GridSpec.default keys
     "solver.pde": {"order": str, "n_controls": _int,
-                   "n_S": _int, "n_q": _int, "steps_per_day": float,
-                   "S_min": float, "S_max": float, "q_min": float, "q_max": float},
+                   "n_S": _int, "n_q": _int, "steps_per_day": _number,
+                   "S_min": _number, "S_max": _number, "q_min": _number,
+                   "q_max": _number},
     "simulation": {"n_paths": _int, "n_obs": _int, "seed": _int, "strategies": list,
                    "M": lambda M: [_int(m) for m in (M if isinstance(M, list) else [M])]},
 }
@@ -430,9 +445,12 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as e:
+    except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:
+        print(f"config error: the problem does not fit in memory ({e})", file=sys.stderr)
+        return 2
     return 0
 
 

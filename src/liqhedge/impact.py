@@ -3,7 +3,7 @@
 With permanent impact k > 0 (and zero drift and rates) the value function
 solves the same equation as the k = 0 problem in the shifted coordinate
 S_tilde = S - k(q - q0); only the terminal condition changes, and
-`model.terminal_payoff` evaluates it on that axis for every k. Both engines
+`PayoffSpec.terminal` evaluates it on that axis for every k. Both engines
 therefore solve a plain `PayoffSpec` unmodified. The observed price is
 recovered along paths as S = S_tilde + k(q - q0) by
 `PayoffSpec.observed_price`.

@@ -1,6 +1,29 @@
-"""Inventory min-plus step shared by the tree and the PDE trading substep."""
+"""Inventory trading steps shared by the tree and the PDE trading substep:
+the whole-step trade ladder, its min-plus sweep and the cheaper-candidate update."""
+
+import math
 
 import numpy as np
+
+
+def trade_ladder(cost, rho_max, V, dt, dq, n_q):
+    """Cost rates L(w*dq/(V*dt)) of the whole-step trades w = 1..m_cap, where
+    m_cap = min(floor(rho_max*V*dt/dq), n_q - 1) keeps the speed within
+    rho_max*V; none when V = 0. Each rate is a scalar cost() call, which each
+    engine scales by V*dt in its own order of multiplication."""
+    if V <= 0:
+        return []
+    m_cap = min(math.floor(rho_max * V * dt / dq + 1e-9), n_q - 1)
+    return [cost(w * dq / (V * dt)) for w in range(1, m_cap + 1)]
+
+
+def take_cheaper(cand, best, ctrl, value, mask=None):
+    """In place, where cand < best: best = cand and ctrl = value; `mask` is an
+    optional bool buffer. A tie keeps best, signed zeros included (np.minimum
+    returns its second operand); a NaN in cand lands in best."""
+    mask = np.less(cand, best, out=mask)
+    np.minimum(cand, best, out=best)
+    np.copyto(ctrl, value, where=mask)
 
 
 def shift_min(f, costs):
@@ -25,11 +48,7 @@ def shift_min(f, costs):
     for m, c in enumerate(costs[:max(n - 1, 0)], 1):
         for w in (-m, m):
             lo, hi = max(0, -w), n - max(0, w)
-            cbuf, mbuf, cur = cand[:hi - lo], mask[:hi - lo], best[lo:hi]
+            cbuf = cand[:hi - lo]
             np.add(f[lo + w:hi + w], c, out=cbuf)
-            np.less(cbuf, cur, out=mbuf)
-            # on a tie np.minimum returns its second operand, so cur (and
-            # a signed zero in it) stays, as under the strict < above
-            np.minimum(cbuf, cur, out=cur)
-            np.copyto(shift[lo:hi], w, where=mbuf)
+            take_cheaper(cbuf, best[lo:hi], shift[lo:hi], w, mask[:hi - lo])
     return best, shift

@@ -32,7 +32,6 @@ __all__ = [
     "hamiltonian",
     "optimal_rate",
     "liquidation_penalty",
-    "terminal_payoff",
     "bachelier_price",
     "bachelier_delta",
     "rescale_nominal",
@@ -107,6 +106,13 @@ def _require_finite(obj, *names):
     for name in names:
         if not math.isfinite(getattr(obj, name)):
             raise ValueError(f"{name} must be finite")
+
+
+def _require_finite_values(arr, where):
+    """Raise FloatingPointError at arr's first non-finite entry, named by where(index)."""
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise FloatingPointError("non-finite " + where(tuple(np.argwhere(bad)[0])))
 
 
 def _level_of(t_grid, t, kept=None) -> int:
@@ -357,47 +363,41 @@ class PayoffSpec:
         )
 
     def terminal(self, q, S):
-        """Pi on the broadcast of q and S; S is the engines' price axis."""
-        return terminal_payoff(q, S, self)
+        """Terminal cost Pi(q, S), broadcast, with S on the engines' price axis.
+
+        With permanent impact k that axis is S_tilde = S_obs - k*(q - q0), where
+        the problem is the k = 0 one with this terminal; exercise is decided on
+        the observed price S_obs. Physical settlement delivers N shares against
+        K*N cash when S_obs >= K, then unwinds the mismatch:
+
+            Pi = N*(S_obs-K)+ + 1_{S_obs>=K} * (ell(N - q) + k*N*(N - 2q)/2)
+                 + 1_{S_obs<K} * ell(q) + k*q0**2/2
+
+        Cash settlement pays the intrinsic value and always unwinds to flat:
+
+            Pi = N*(S_obs-K)+ + ell(q) + k*q0**2/2
+
+        At k = 0 the impact terms add exactly zero and Pi >= N*(S-K)+ pointwise.
+        """
+        c = self.contract
+        k = self.market.k
+        qb, Sb = np.broadcast_arrays(np.asarray(q, dtype=float),
+                                     np.asarray(S, dtype=float))
+        S_obs = self.observed_price(Sb, qb)
+        intrinsic = c.N * np.maximum(S_obs - c.K, 0.0)
+        if c.settlement == "cash":
+            out = intrinsic + self.liquidation(qb)
+        else:
+            exercised = S_obs >= c.K
+            delivery = self.liquidation(c.N - qb) + 0.5 * k * c.N * (c.N - 2.0 * qb)
+            out = intrinsic + np.where(exercised, delivery, self.liquidation(qb))
+        out = out + 0.5 * k * c.q0**2
+        return float(out) if out.ndim == 0 else out
 
     def observed_price(self, S, q):
         """Quoted price S + k*(q - q0) at the engines' price S (S_tilde) and
         inventory q (broadcasting arrays); S itself when k = 0."""
         return S + self.market.k * (q - self.contract.q0)
-
-
-def terminal_payoff(q, S, payoff: PayoffSpec):
-    """Terminal cost Pi(q, S) at maturity, S on the engines' price axis.
-
-    With permanent impact k that axis is S_tilde = S_obs - k*(q - q0), where
-    the problem is the k = 0 one with this terminal; exercise is decided on
-    the observed price S_obs. Physical settlement delivers N shares against
-    K*N cash when S_obs >= K, then unwinds the mismatch:
-
-        Pi = N*(S_obs-K)+ + 1_{S_obs>=K} * (ell(N - q) + k*N*(N - 2q)/2)
-             + 1_{S_obs<K} * ell(q) + k*q0**2/2
-
-    Cash settlement pays the intrinsic value and always unwinds to flat:
-
-        Pi = N*(S_obs-K)+ + ell(q) + k*q0**2/2
-
-    At k = 0 the impact terms add exactly zero and Pi >= N*(S-K)+ pointwise.
-    """
-    c = payoff.contract
-    k = payoff.market.k
-    q = np.asarray(q, dtype=float)
-    S = np.asarray(S, dtype=float)
-    qb, Sb = np.broadcast_arrays(q, S)
-    S_obs = payoff.observed_price(Sb, qb)
-    intrinsic = c.N * np.maximum(S_obs - c.K, 0.0)
-    if c.settlement == "cash":
-        out = intrinsic + payoff.liquidation(qb)
-    else:
-        exercised = S_obs >= c.K
-        delivery = payoff.liquidation(c.N - qb) + 0.5 * k * c.N * (c.N - 2.0 * qb)
-        out = intrinsic + np.where(exercised, delivery, payoff.liquidation(qb))
-    out = out + 0.5 * k * c.q0**2
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .minplus import shift_min
-from .model import _level_of, _require_finite, optimal_rate
+from .minplus import shift_min, take_cheaper, trade_ladder
+from .model import _level_of, _require_finite, _require_finite_values, optimal_rate
 
 __all__ = ["GridSpec", "SchemeConfig", "ThetaSurface", "solve_theta"]
 
@@ -240,17 +240,17 @@ def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
     """Semi-Lagrangian trading substep over the nonzero control `rates`
     (|rho| ascending, negative first); returns (new theta, control v)."""
     nq = theta.shape[0]
-    dq = qgrid[1] - qgrid[0] if nq > 1 else 0.0
-    if rho_max <= 0 or V <= 0 or nq < 2:
+    dq = qgrid[1] - qgrid[0]
+    if rho_max <= 0 or V <= 0:
         return theta.copy(), np.zeros_like(theta)
 
     # node-aligned candidates: every destination reachable within the
     # participation cap, exact (no interpolation); without these the min
     # cannot park inventory on the value kink at q = 0 from every node and
     # the surface loses discrete convexity in q
-    m_cap = min(math.floor(rho_max * V * dt / dq + 1e-9), nq - 1)
-    costs = [V * cost(w * dq / (V * dt)) * dt for w in range(1, m_cap + 1)]
-    best, shift = shift_min(theta, costs)
+    ladder = trade_ladder(cost, rho_max, V, dt, dq, nq)
+    m_cap = len(ladder)
+    best, shift = shift_min(theta, [V * rate * dt for rate in ladder])
     speeds = np.arange(-m_cap, m_cap + 1) * dq / (V * dt) * V
     vstar = speeds[shift + m_cap]
 
@@ -265,15 +265,9 @@ def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
         hi = nq - max(0, w + 1)
         if hi <= lo:
             continue
-        seg = np.s_[lo:hi]
         cand = run_cost + (1.0 - f) * theta[lo + w: hi + w] \
             + f * theta[lo + w + 1: hi + w + 1]
-        cur = best[seg]
-        mask = cand < cur
-        if mask.any():
-            cur[mask] = cand[mask]
-            vs = vstar[seg]
-            vs[mask] = rho * V
+        take_cheaper(cand, best[lo:hi], vstar[lo:hi], rho * V)
 
     # closed-form candidate from the local slope; when its displacement
     # overshoots the grid the destination is clamped to the edge node, which
@@ -289,9 +283,7 @@ def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
     fr = x - i0
     j = np.broadcast_to(np.arange(theta.shape[1]), theta.shape)
     cand = V * cost(rho_used) * dt + (1 - fr) * theta[i0, j] + fr * theta[i0 + 1, j]
-    mask = cand < best
-    best[mask] = cand[mask]
-    vstar[mask] = (rho_used * V)[mask]
+    take_cheaper(cand, best, vstar, rho_used * V)
     return best, vstar
 
 
@@ -319,6 +311,8 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
     values = np.empty((grid.n_t + 1 if keep_values else 1, nq, nS))
     control = np.zeros((grid.n_t + 1, nq, nS))
     theta = np.asarray(payoff.terminal(qcol, Sgrid[None, :]), dtype=float)
+    _require_finite_values(theta, lambda ij: "terminal value at "
+                           f"q={qgrid[ij[0]]:.6g}, S={Sgrid[ij[1]]:.6g}")
     if keep_values:
         values[grid.n_t] = theta
 
@@ -332,14 +326,6 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
     else:
         source = None
 
-    def check(tag, n, arr):
-        if not np.all(np.isfinite(arr)):
-            i, j = np.argwhere(~np.isfinite(arr))[0]
-            raise FloatingPointError(
-                f"non-finite theta after substep {tag} at level {n}, "
-                f"q={qgrid[i]:.6g}, S={Sgrid[j]:.6g}"
-            )
-
     for n in range(grid.n_t - 1, -1, -1):
         tau_new = c.T - n * dt
         coef = c.gamma * m.sigma**2 * math.exp(m.r * tau_new)
@@ -352,7 +338,8 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
                 theta = _step_B(theta, qcol, dS, coef, dt)
             else:
                 theta, vstar = _step_C(theta, qgrid, payoff.cost, m.rho_max, V, dt, rates)
-            check(step, n, theta)
+            _require_finite_values(theta, lambda ij: f"theta after substep {step} "
+                                   f"at level {n}, q={qgrid[ij[0]]:.6g}, S={Sgrid[ij[1]]:.6g}")
         if keep_values or n == 0:
             values[n] = theta
         control[n] = vstar

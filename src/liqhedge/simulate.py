@@ -68,6 +68,9 @@ class PnLStats:
     excluded: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.mean_cost, self.var_cost,
+                                       self.exec_cost_mean))):
+            raise ValueError("non-finite cost statistics")
         if not (self.var_cost >= 0.0):
             raise ValueError("variance must be nonnegative")
 

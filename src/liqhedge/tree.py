@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .minplus import shift_min
-from .model import _level_of, _require_finite
+from .minplus import shift_min, trade_ladder
+from .model import _level_of, _require_finite, _require_finite_values
 
 __all__ = ["TreeConfig", "TreeValue", "solve_tree", "price_with_initial_exchange"]
 
@@ -226,9 +226,7 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = Fa
     # min-plus sweep's shifted slices are contiguous; theta[j] and ctrl[j]
     # are their transposed (nodes, n_q) views
     nxt = np.asarray(payoff.terminal(qgrid[:, None], leaf_S[None, :]), dtype=float)
-    if not np.all(np.isfinite(nxt)):
-        bad = np.argwhere(~np.isfinite(nxt.T))[0]
-        raise FloatingPointError(f"non-finite terminal value at node {tuple(bad)}")
+    _require_finite_values(nxt.T, lambda node: f"terminal value at node {node}")
     if keep_values:
         theta[J] = nxt.T
 
@@ -252,20 +250,14 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = Fa
         )
 
         # min-plus sweep over whole-step inventory shifts
-        m_cap = int(math.floor(m.rho_max * V * dt / dq + 1e-9)) if (dq > 0 and V > 0) else 0
-        m_cap = min(m_cap, nq - 1)
-        costs = [g * V * dt * payoff.cost(mm * dq / (dt * V)) for mm in range(1, m_cap + 1)]
-        best, bmult = shift_min(lse, costs)
+        rates = trade_ladder(payoff.cost, m.rho_max, V, dt, dq, nq)
+        best, bmult = shift_min(lse, [g * V * dt * rate for rate in rates])
         if growth != 0.0:
             S_nodes = _node_prices(m, config, j)
             best = best + g * growth * (qgrid[:, None] * S_nodes[None, :])
         nxt = (disc / gamma) * best
         ctrl[j] = bmult.T
-        if not np.all(np.isfinite(nxt)):
-            bad = np.argwhere(~np.isfinite(nxt.T))[0]
-            raise FloatingPointError(
-                f"non-finite value at level {j}, node {tuple(bad)}"
-            )
+        _require_finite_values(nxt.T, lambda node: f"value at level {j}, node {node}")
         if keep_values or j == 0:
             theta[j] = nxt.T
 

@@ -140,6 +140,44 @@ def test_integer_keys_take_integral_numbers_only(tmp_path, capsys):
     assert all(type(v) is int for v in (rc.grid.n_S, rc.sim.n_paths, rc.sim.seed, *rc.M_list))
 
 
+def test_float_keys_take_any_json_number(tmp_path):
+    cfg = reference_dict()
+    cfg["market"].update(S0=45, volume={"starts": [0, 20], "values": [4e6, 1e4]})
+    cfg["contract"]["penalty_rate"] = 5
+    rc = load_config(write(tmp_path, cfg))
+    m = rc.payoff.market
+    assert (m.S0, rc.payoff.penalty_rate) == (45.0, 5.0)
+    assert m.volume.starts.tolist() == [0.0, 20.0]
+    assert m.volume.values.tolist() == [4e6, 1e4]
+
+
+@pytest.mark.parametrize("engine, section, key, value", [
+    ("tree", "market", "r", 1e300),
+    ("pde", "market", "r", 1e300),
+    ("tree", "solver", "tree", {"dt": 1.0, "alpha": 1e300}),
+])
+def test_huge_finite_input_is_numerical_failure(tmp_path, capsys, engine,
+                                                section, key, value):
+    # these overflow in Python floats (OverflowError), before numpy warns
+    cfg = reference_dict(solver={"pde": {"n_S": 21, "n_q": 11}})
+    cfg["contract"]["T"] = 4.0
+    cfg[section][key] = value
+    code = main(["price", "--engine", engine, "--config", write(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+
+
+def test_grid_too_large_to_allocate_is_config_error(tmp_path, capsys):
+    # 1e15 S nodes need 7.11 PiB, past any address space: the allocation
+    # fails at once, so nothing is ever allocated
+    cfg = reference_dict(solver={"pde": {"n_S": 1e15, "n_q": 11}})
+    code = main(["price", "--engine", "pde", "--config", write(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
 def test_invalid_field_value_reports_config_error(tmp_path, capsys):
     cfg = reference_dict()
     cfg["market"]["sigma"] = -1.0
@@ -177,6 +215,14 @@ def test_invalid_field_value_reports_config_error(tmp_path, capsys):
     ("simulate", "simulation", "n_paths", 1),  # no sample variance
     ("simulate", "simulation", "strategies", []),  # a table with no rows
     ("simulate", "simulation", "M", []),  # "delta" with no rebalance count
+    # a number key takes a JSON number only, though float() reads these
+    ("price", "market", "sigma", True),
+    ("price", "market", "S0", "45"),
+    ("price", "market", "mu", "0.05"),
+    ("price", "contract", "penalty_rate", True),
+    ("price", "market", "volume", True),
+    ("price", "market", "volume", {"starts": [0, "20"], "values": [4e6, 2e6]}),
+    ("price", "market", "volume", {"starts": [0, 20], "values": [4e6, True]}),
 ])
 def test_bad_values_exit_with_config_error(tmp_path, capsys, command,
                                            section, key, value):
@@ -400,6 +446,19 @@ def test_simulate_policy_skips_zero_volume_interval(tmp_path, capsys, engine):
     assert all(math.isfinite(float(x)) for x in row[2:5])
 
 
+def test_simulate_non_finite_statistics_are_numerical_failure(tmp_path, capsys):
+    # a huge eta overflows every fee to inf, so no statistic is finite
+    cfg = reference_dict(solver={"engine": "tree", "tree": {"dt": 1.0}},
+                         simulation={"n_paths": 50, "M": [4],
+                                     "strategies": ["delta"]})
+    cfg["contract"]["T"] = 4.0
+    cfg["cost"]["eta"] = 1e300
+    with pytest.warns(RuntimeWarning):  # numpy warns on the overflow first
+        code = main(["simulate", "--config", write(tmp_path, cfg)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
 def test_simulate_rejects_permanent_impact(tmp_path, capsys):
     cfg = sim_dict()
     cfg["market"]["k"] = 1e-7
@@ -499,8 +558,8 @@ def test_fuzz_base_config_runs(tmp_path, capsys, command):
     assert code == 0, capsys.readouterr().err
 
 
-MUTATIONS = ("wrong type", "nan", "+inf", "-inf", "negative", "zero", "empty",
-             "missing")
+MUTATIONS = ("wrong type", "true", "nan", "+inf", "-inf", "negative", "zero",
+             "empty", "missing")
 
 
 def leaf_paths(node, prefix=()):
@@ -526,6 +585,8 @@ def mutated(path, how):
         return cfg
     if how == "wrong type":
         new = 1.5 if isinstance(old, str) else "x"
+    elif how == "true":
+        new = True
     elif how == "nan":
         new = float("nan")
     elif how in ("+inf", "-inf"):

@@ -29,7 +29,6 @@ from liqhedge.model import (
     liquidation_penalty,
     optimal_rate,
     rescale_nominal,
-    terminal_payoff,
 )
 
 
@@ -290,28 +289,28 @@ def test_terminal_payoff_physical():
     ell = p.liquidation
     N, K = 2e7, 45.0
     # exercised: deliver N, unwind the shortfall N - q
-    assert terminal_payoff(1e7, 47.0, p) == pytest.approx(N * 2.0 + ell(1e7))
+    assert p.terminal(1e7, 47.0) == pytest.approx(N * 2.0 + ell(1e7))
     # S = K counts as exercised
-    assert terminal_payoff(1e7, 45.0, p) == pytest.approx(ell(1e7))
+    assert p.terminal(1e7, 45.0) == pytest.approx(ell(1e7))
     # not exercised: unwind q itself
-    assert terminal_payoff(1e7, 44.0, p) == pytest.approx(ell(1e7))
-    assert terminal_payoff(0.0, 44.0, p) == 0.0
-    assert terminal_payoff(0.0, 47.0, p) == pytest.approx(N * 2.0 + ell(2e7))
+    assert p.terminal(1e7, 44.0) == pytest.approx(ell(1e7))
+    assert p.terminal(0.0, 44.0) == 0.0
+    assert p.terminal(0.0, 47.0) == pytest.approx(N * 2.0 + ell(2e7))
 
 
 def test_terminal_payoff_cash():
     p = make_reference_payoff("cash")
     ell = p.liquidation
-    assert terminal_payoff(1e7, 47.0, p) == pytest.approx(2e7 * 2.0 + ell(1e7))
-    assert terminal_payoff(1e7, 44.0, p) == pytest.approx(ell(1e7))
-    assert terminal_payoff(0.0, 50.0, p) == pytest.approx(2e7 * 5.0)
+    assert p.terminal(1e7, 47.0) == pytest.approx(2e7 * 2.0 + ell(1e7))
+    assert p.terminal(1e7, 44.0) == pytest.approx(ell(1e7))
+    assert p.terminal(0.0, 50.0) == pytest.approx(2e7 * 5.0)
 
 
 def test_terminal_payoff_dominates_intrinsic():
     p = make_reference_payoff()
     q = np.linspace(-2e6, 2.2e7, 41)[:, None]
     S = np.linspace(20.0, 70.0, 65)[None, :]
-    pi = terminal_payoff(q, S, p)
+    pi = p.terminal(q, S)
     assert pi.shape == (41, 65)
     assert np.all(pi >= 2e7 * np.maximum(S - 45.0, 0.0) - 1e-9)
 
@@ -320,8 +319,8 @@ def test_payoff_penalty_override():
     base = make_reference_payoff()
     p = PayoffSpec(contract=base.contract, market=base.market, cost=base.cost,
                    penalty=lambda q: np.zeros_like(np.asarray(q, dtype=float)))
-    assert terminal_payoff(1e7, 44.0, p) == 0.0
-    assert terminal_payoff(1e7, 47.0, p) == pytest.approx(4e7)
+    assert p.terminal(1e7, 44.0) == 0.0
+    assert p.terminal(1e7, 47.0) == pytest.approx(4e7)
 
 
 def test_payoff_keeps_penalty_rate_as_given():

@@ -240,6 +240,16 @@ def test_grid_validation():
         GridSpec.default(reference_payoff(N=0.0, q0=0.0))
 
 
+def test_non_finite_terminal_value_raises():
+    # checked before the first substep, so the report names the terminal
+    # condition, not the substep the inf first passed through
+    base = reference_payoff(T=4.0)
+    pay = PayoffSpec(base.contract, base.market, base.cost,
+                     penalty=lambda q: np.where(q > 1.5e7, np.inf, 0.0))
+    with pytest.raises(FloatingPointError, match="non-finite terminal value at q="):
+        solve_theta(pay, small_grid(pay, n_S=21, n_q=11, n_t=4))
+
+
 def test_default_grid_takes_each_given_bound_and_any_positive_step_rate():
     pay = reference_payoff(T=4.0)
     base = GridSpec.default(pay, n_S=21, n_q=11)

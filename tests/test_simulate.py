@@ -149,6 +149,10 @@ def test_config_validation():
         PathConfig(M=1)
     with pytest.raises(ValueError):
         PnLStats("delta", 10, 0.0, -1.0, 0.0, 10, 0)
+    for bad in (math.inf, -math.inf, math.nan):
+        for stats in ((bad, 1.0, 0.0), (0.0, bad, 0.0), (0.0, 1.0, bad)):
+            with pytest.raises(ValueError):
+                PnLStats("delta", 10, *stats, 10, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -303,3 +303,10 @@ def test_rejects_bad_grids():
                 {"q_min": -math.inf, "q_max": 2e7}):
         with pytest.raises(ValueError):
             TreeConfig(**bad)
+
+
+def test_non_finite_terminal_value_raises():
+    base = reference_payoff(T=4.0)
+    pay = dataclasses.replace(base, penalty=lambda q: np.where(q > 1.5e7, np.inf, 0.0))
+    with pytest.raises(FloatingPointError, match="non-finite terminal value at node"):
+        solve_tree(pay, TreeConfig(dt=1.0))
