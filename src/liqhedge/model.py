@@ -112,7 +112,8 @@ def _require_finite_values(arr, where):
     """Raise FloatingPointError at arr's first non-finite entry, named by where(index)."""
     bad = ~np.isfinite(arr)
     if bad.any():
-        raise FloatingPointError("non-finite " + where(tuple(np.argwhere(bad)[0])))
+        index = tuple(int(k) for k in np.argwhere(bad)[0])  # (0, 151), not np.int64(0)
+        raise FloatingPointError("non-finite " + where(index))
 
 
 def _level_of(t_grid, t, kept=None) -> int:

@@ -10,12 +10,15 @@ Path generation is counter-based: path i draws from numpy's
 `PCG64(SeedSequence((seed, i, purpose)))`, so a path's randomness does not
 depend on how many paths are drawn or in which order they are processed.
 Every path's PCG64 state is computed at once, by SeedSequence's hash in
-uint32 arrays and PCG64's seeding in 64-bit limbs, and one reused
-generator is set to each state in turn; the draws are bit-identical to
-building each path's generator. The delta ladder reads every rebalance
-date's Bachelier delta in one call.
+uint32 arrays and PCG64's seeding in 64-bit limbs. One reused generator
+then draws every row: before each, the path's four state words are copied
+into the generator's own state memory, found through numpy's documented
+`bit_generator.ctypes` interface. The draws are bit-identical to building
+each path's generator. The delta ladder reads every rebalance date's
+Bachelier delta in one call.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -78,9 +81,6 @@ class PnLStats:
 _MASK32 = 0xFFFFFFFF
 _PCG64_MULT_HI = np.uint64(0x2360ED051FC65DA4)  # PCG64's 128-bit multiplier
 _PCG64_MULT_LO = np.uint64(0x4385DF649FCCF645)
-# paths whose states are Python ints at one time: converting every path's
-# at once costs megabytes of peak memory
-_STATE_CHUNK = 512
 
 
 def _words(n: int) -> list:
@@ -161,25 +161,50 @@ def _pcg64_states(seed: int, n_paths: int, stream: int):
     return hi, lo, inc_hi, inc_lo
 
 
-def _normal_matrix(seed: int, n_paths: int, n: int, stream: int) -> np.ndarray:
-    """Row i: n standard normals of path i's (seed, i, stream) generator."""
+def _each_state(bitgen, limbs):
+    """Set the PCG64 `bitgen` to each (state_hi, state_lo, inc_hi, inc_lo)
+    of the uint64 arrays `limbs` in turn, yielding after each.
+
+    numpy's pcg64_state struct, at `bitgen.ctypes.state_address`, begins
+    with a pointer to the generator's 32-byte (state, inc) pair; copying a
+    path's words there replaces the `state` setter, whose Python-int
+    conversion cost more than a row's draws. The order of the four words
+    depends on how numpy was compiled, so it is read back once from words
+    set through that setter; memory that does not hold them raises before
+    any draw.
+    """
+    known = (0x0123456789ABCDEF, 0x1032547698BADCFE,  # distinct words
+             0x2301674589ABCDEF, 0x3210765498BADCFF)
+    bitgen.state = {"bit_generator": "PCG64",
+                    "state": {"state": known[0] << 64 | known[1],
+                              "inc": known[2] << 64 | known[3]},
+                    "has_uint32": 0, "uinteger": 0}
+    pair = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    found = list((ctypes.c_uint64 * 4).from_address(pair))
+    if sorted(found) != sorted(known):
+        raise RuntimeError("numpy's PCG64 state memory does not hold the "
+                           "generator's (state, inc) words")
+    # row i: path i's words in the order the generator's memory holds them;
+    # uint64, so each row is the 32 bytes memmove copies
+    words = np.column_stack([limbs[known.index(w)] for w in found]).astype(
+        np.uint64, copy=False)
+    start = words.ctypes.data
+    for row in range(start, start + words.nbytes, 32):
+        ctypes.memmove(pair, row, 32)
+        yield
+
+
+def _normal_matrix(seed: int, n_paths: int, n: int, stream: int,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row i: n standard normals of path i's (seed, i, stream) generator,
+    drawn into `out` (n_paths, n) when it is given."""
     gen = np.random.Generator(np.random.PCG64())
-    bitgen = gen.bit_generator
-    state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
-             "has_uint32": 0, "uinteger": 0}
-    pcg = state["state"]
     # allocated before the seeding temporaries: allocated after them, the
     # matrix raised the hedge table's peak RSS by about 2 MiB
-    out = np.empty((n_paths, n))
+    out = np.empty((n_paths, n)) if out is None else out
     limbs = _pcg64_states(seed, n_paths, stream)
-    for start in range(0, n_paths, _STATE_CHUNK):
-        chunk = slice(start, start + _STATE_CHUNK)
-        for row, s_hi, s_lo, i_hi, i_lo in zip(
-                out[chunk], *(limb[chunk].tolist() for limb in limbs)):
-            pcg["state"] = s_hi << 64 | s_lo
-            pcg["inc"] = i_hi << 64 | i_lo
-            bitgen.state = state
-            gen.standard_normal(out=row)
+    for row, _ in zip(out, _each_state(gen.bit_generator, limbs)):
+        gen.standard_normal(out=row)
     return out
 
 
@@ -189,24 +214,32 @@ def simulate_price_paths(market, cfg: PathConfig, T: float,
     n_obs = cfg.n_obs if n_obs is None else n_obs
     steps = n_obs - 1
     dt = T / steps
-    Z = _normal_matrix(cfg.seed, cfg.n_paths, steps, _PRICE_STREAM)
-    Z *= market.sigma * math.sqrt(dt)  # the increments, in place
-    Z += market.mu * dt
     S = np.empty((cfg.n_paths, n_obs))
     S[:, 0] = market.S0
-    np.cumsum(Z, axis=1, out=S[:, 1:])
-    S[:, 1:] += market.S0
+    # the normals, then the increments, then the path, all in S[:, 1:]
+    Z = _normal_matrix(cfg.seed, cfg.n_paths, steps, _PRICE_STREAM, out=S[:, 1:])
+    Z *= market.sigma * math.sqrt(dt)
+    Z += market.mu * dt
+    np.cumsum(Z, axis=1, out=Z)
+    Z += market.S0
     return S
+
+
+# paths per midpoint temporary in _twap_matrix: a full-size one would cost
+# as much memory as the TWAP matrix itself
+_MID_CHUNK = 512
 
 
 def _twap_matrix(S: np.ndarray, sigma: float, dt: float, seed: int) -> np.ndarray:
     """Conditional TWAP for every interval of every path, counter-seeded."""
     n_paths, n_obs = S.shape
-    noise = _normal_matrix(seed, n_paths, n_obs - 1, _TWAP_STREAM)
-    noise *= sigma * math.sqrt(dt / 12.0)
-    twap = np.add(S[:, :-1], S[:, 1:])
-    twap *= 0.5
-    twap += noise
+    twap = _normal_matrix(seed, n_paths, n_obs - 1, _TWAP_STREAM)
+    twap *= sigma * math.sqrt(dt / 12.0)  # the noise
+    for start in range(0, n_paths, _MID_CHUNK):  # plus each interval's midpoint
+        rows = slice(start, start + _MID_CHUNK)
+        mid = np.add(S[rows, :-1], S[rows, 1:])
+        mid *= 0.5
+        twap[rows] += mid
     return twap
 
 

@@ -2,6 +2,7 @@
 runners, and the discrete wealth-decomposition identity."""
 
 import math
+import random
 import types
 import warnings
 
@@ -26,6 +27,7 @@ from liqhedge.simulate import (
     run_policy_hedge,
     simulate_price_paths,
     wealth_decomposition_check,
+    _each_state,
     _normal_matrix,
     _twap_matrix,
 )
@@ -108,6 +110,25 @@ def test_normal_matrix_crosses_state_chunks():
         for i in range(1100)])
     got = _normal_matrix(seed, 1100, n, stream)
     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_state_words_round_trip():
+    # every (state, inc) the writer copies in reads back through numpy's
+    # own getter, whatever the order of the words in the generator's memory
+    rng = random.Random(5)
+    pairs = [(0, 0), (2**64 - 1, 2**64), (2**64, 2**128 - 1),
+             (2**128 - 1, 2**64 - 1)]
+    pairs += [(rng.getrandbits(128), rng.getrandbits(128)) for _ in range(4)]
+    states, incs = zip(*pairs)
+
+    def split(values):
+        return (np.array([v >> 64 for v in values], dtype=np.uint64),
+                np.array([v & 2**64 - 1 for v in values], dtype=np.uint64))
+
+    bitgen = np.random.PCG64()
+    for (state, inc), _ in zip(pairs, _each_state(bitgen, (*split(states), *split(incs))),
+                               strict=True):
+        assert bitgen.state["state"] == {"state": state, "inc": inc}
 
 
 # ---------------------------------------------------------------------------

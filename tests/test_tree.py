@@ -310,3 +310,12 @@ def test_non_finite_terminal_value_raises():
     pay = dataclasses.replace(base, penalty=lambda q: np.where(q > 1.5e7, np.inf, 0.0))
     with pytest.raises(FloatingPointError, match="non-finite terminal value at node"):
         solve_tree(pay, TreeConfig(dt=1.0))
+
+
+def test_non_finite_message_prints_the_node_as_plain_ints():
+    # under numpy 2 a repr of np.argwhere's entries reads "np.int64(0)"
+    base = reference_payoff(T=4.0)
+    pay = dataclasses.replace(base, penalty=lambda q: np.where(q > 1.5e7, np.inf, 0.0))
+    with pytest.raises(FloatingPointError) as err:
+        solve_tree(pay, TreeConfig(dt=1.0))
+    assert str(err.value) == "non-finite terminal value at node (0, 151)"
