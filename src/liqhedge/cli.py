@@ -439,9 +439,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, engine_override=args.engine,
-                          seed_override=args.seed)
-        _emit(args.fn(cfg, args), args.out)
+        # numpy's overflow warnings stay silent: the engines raise on a
+        # non-finite value, so stderr holds the one line below
+        with np.errstate(all="ignore"):
+            cfg = load_config(args.config, engine_override=args.engine,
+                              seed_override=args.seed)
+            _emit(args.fn(cfg, args), args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -2,12 +2,11 @@
 
 Covers:
 - market / execution-cost / contract parameter containers with validation
-- instantaneous execution cost L(rho) and its Hamiltonian transform
-  H(p) = sup_{|rho| <= rho_max} (p*rho - L(rho)) with closed-form maximizer
-- post-maturity liquidation penalty ell(q) at a constant participation rate
-- terminal payoff surfaces Pi(q, S) for physical and cash settlement
+- instantaneous execution cost L(rho) and the closed-form maximizer rho* of
+  p*rho - L(rho) over |rho| <= rho_max
+- terminal payoff surfaces Pi(q, S) for physical and cash settlement, with
+  the post-maturity liquidation penalty ell(q) at a constant participation rate
 - Bachelier (arithmetic Brownian) call price and delta
-- unit-nominal rescaling of a pricing problem
 
 Conventions: the time unit is the trading day throughout. sigma is in
 currency * day**-0.5, volumes in shares/day, mu and r are per-day rates.
@@ -17,7 +16,8 @@ Prices, costs and penalties are in currency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -29,12 +29,9 @@ __all__ = [
     "ExecutionCost",
     "OptionContract",
     "PayoffSpec",
-    "hamiltonian",
     "optimal_rate",
-    "liquidation_penalty",
     "bachelier_price",
     "bachelier_delta",
-    "rescale_nominal",
 ]
 
 
@@ -86,9 +83,6 @@ class VolumeCurve:
     def is_constant(self) -> bool:
         return bool(np.all(self.values == self.values[0]))
 
-    def scaled(self, factor: float) -> "VolumeCurve":
-        return VolumeCurve(self.starts, self.values * factor)
-
     def __eq__(self, other):
         return (
             isinstance(other, VolumeCurve)
@@ -114,6 +108,16 @@ def _require_finite_values(arr, where):
     if bad.any():
         index = tuple(int(k) for k in np.argwhere(bad)[0])  # (0, 151), not np.int64(0)
         raise FloatingPointError("non-finite " + where(index))
+
+
+@contextmanager
+def _overflow_of(name):
+    """Re-raise an OverflowError, which a Python float's ** or math.exp
+    raises, naming the parameter that overflowed."""
+    try:
+        yield
+    except OverflowError:
+        raise OverflowError(f"overflow: {name} is too large in magnitude") from None
 
 
 def _level_of(t_grid, t, kept=None) -> int:
@@ -260,60 +264,6 @@ def optimal_rate(cost: ExecutionCost, p, rho_max: float):
     return float(out) if out.ndim == 0 else out
 
 
-def hamiltonian(cost: ExecutionCost, p, rho_max: float):
-    """H(p) = sup_{|rho| <= rho_max} (p*rho - L(rho)) and its maximizer.
-
-    Parameters
-    ----------
-    cost : ExecutionCost
-    p : float or ndarray
-    rho_max : float
-
-    Returns
-    -------
-    (H, rho_star) : matching shape of p. H >= 0 since rho = 0 is feasible.
-    """
-    rho = optimal_rate(cost, p, rho_max)
-    H = np.asarray(p) * rho - cost(rho)
-    H = np.maximum(H, 0.0)  # guard roundoff; rho=0 is always feasible
-    if np.ndim(H) == 0:
-        return float(H), float(np.asarray(rho))
-    return H, rho
-
-
-# ---------------------------------------------------------------------------
-# liquidation penalty
-# ---------------------------------------------------------------------------
-
-
-def liquidation_penalty(q, cost: ExecutionCost, rate: float, gamma: float,
-                        sigma: float, volume: float):
-    """Certainty-equivalent cost of unwinding q shares after maturity.
-
-    The position is traded out at constant participation rate `rate` against
-    constant volume `volume`, taking tau = |q|/(rate*volume) days:
-
-        ell(q) = (L(rate)/rate) * |q| + gamma * sigma**2 * |q|**3 / (6*rate*volume)
-
-    (execution cost plus the exponential-utility variance charge of the
-    linearly decaying residual position). Even in q, ell(0) = 0, convex
-    and increasing on R+.
-
-    Errors: rate <= 0, or volume = 0 with q != 0.
-    """
-    if not (rate > 0):
-        raise ValueError("liquidation rate must be > 0")
-    q = np.asarray(q, dtype=float)
-    aq = np.abs(q)
-    if volume <= 0:
-        if np.any(aq > 0):
-            raise ValueError("cannot liquidate q != 0 with zero market volume")
-        out = np.zeros_like(aq)
-        return float(out) if out.ndim == 0 else out
-    out = (cost(rate) / rate) * aq + gamma * sigma**2 * aq**3 / (6.0 * rate * volume)
-    return float(out) if out.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # terminal payoff
 # ---------------------------------------------------------------------------
@@ -355,13 +305,30 @@ class PayoffSpec:
         return self.market.rho_max if self.penalty_rate is None else self.penalty_rate
 
     def liquidation(self, q):
-        """ell(q): penalty for holding q shares at maturity."""
+        """ell(q): penalty for holding q shares at maturity.
+
+        Unless `penalty` overrides it, the position is traded out at the
+        constant participation rate `liquidation_rate` against the final
+        volume segment V, taking tau = |q|/(rate*V) days:
+
+            ell(q) = (L(rate)/rate) * |q| + gamma * sigma**2 * |q|**3 / (6*rate*V)
+
+        (execution cost plus the exponential-utility variance charge of the
+        linearly decaying residual position). Even in q, ell(0) = 0, convex
+        and increasing on R+. A non-finite ell raises FloatingPointError
+        naming the formula's inputs.
+        """
         if self.penalty is not None:
             return self.penalty(np.asarray(q, dtype=float))
-        return liquidation_penalty(
-            q, self.cost, self.liquidation_rate, self.contract.gamma,
-            self.market.sigma, self.market.volume.final_value,
-        )
+        c, m, rate = self.contract, self.market, self.liquidation_rate
+        L, V = self.cost(rate), m.volume.final_value
+        aq = np.abs(np.asarray(q, dtype=float))
+        with _overflow_of("sigma"):
+            out = (L / rate) * aq + c.gamma * m.sigma**2 * aq**3 / (6.0 * rate * V)
+        _require_finite_values(out, lambda i: (
+            f"liquidation penalty at |q| = {aq[i]:g}: L(rate) = {L:g}, "
+            f"gamma = {c.gamma:g}, sigma = {m.sigma:g}, rate = {rate:g}, V = {V:g}"))
+        return float(out) if out.ndim == 0 else out
 
     def terminal(self, q, S):
         """Terminal cost Pi(q, S), broadcast, with S on the engines' price axis.
@@ -454,26 +421,3 @@ def bachelier_delta(S, K, sigma, tau):
     ndtr(d, out=d)
     np.copyto(d, S >= K, where=~(sq > 0))
     return float(d) if d.ndim == 0 else d
-
-
-# ---------------------------------------------------------------------------
-# unit-nominal rescaling
-# ---------------------------------------------------------------------------
-
-
-def rescale_nominal(contract: OptionContract, market: MarketParams):
-    """Map a problem with nominal N to the equivalent unit-nominal problem.
-
-    theta_tilde(t, q/N, S) = theta(t, q, S)/N solves the same equation with
-
-        N' = 1, gamma' = gamma*N, V' = V/N, q0' = q0/N, k' = k*N,
-
-    everything else unchanged (the closed-form liquidation penalty rebuilt
-    from the mapped parameters equals ell(N*q)/N automatically).
-    """
-    N = contract.N
-    if not (N > 0):
-        raise ValueError("rescaling needs N > 0")
-    c2 = replace(contract, N=1.0, gamma=contract.gamma * N, q0=contract.q0 / N)
-    m2 = replace(market, volume=market.volume.scaled(1.0 / N), k=market.k * N)
-    return c2, m2

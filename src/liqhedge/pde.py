@@ -36,7 +36,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .minplus import shift_min, take_cheaper, trade_ladder
-from .model import _level_of, _require_finite, _require_finite_values, optimal_rate
+from .model import (_level_of, _overflow_of, _require_finite, _require_finite_values,
+                    optimal_rate)
 
 __all__ = ["GridSpec", "SchemeConfig", "ThetaSurface", "solve_theta"]
 
@@ -177,7 +178,9 @@ def _build_banded_A(grid: GridSpec, market, dt: float) -> np.ndarray:
     """Banded (ab) matrix for the implicit linear substep along S."""
     nS = grid.n_S
     dS = (grid.S_max - grid.S_min) / (nS - 1)
-    mu, r, sig2 = market.mu, market.r, market.sigma**2
+    mu, r = market.mu, market.r
+    with _overflow_of("sigma"):
+        sig2 = market.sigma**2
     diff = 0.5 * sig2 / dS**2
     adv = mu / (2.0 * dS)
     lower = np.zeros(nS)
@@ -328,7 +331,8 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
 
     for n in range(grid.n_t - 1, -1, -1):
         tau_new = c.T - n * dt
-        coef = c.gamma * m.sigma**2 * math.exp(m.r * tau_new)
+        with _overflow_of("r"):  # sigma**2 passed _build_banded_A
+            coef = c.gamma * m.sigma**2 * math.exp(m.r * tau_new)
         V = float(m.volume.at(n * dt))  # [t_n, t_{n+1}) trades against V(t_n)
 
         for step in scheme.order:

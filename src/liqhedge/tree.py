@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .minplus import shift_min, trade_ladder
-from .model import _level_of, _require_finite, _require_finite_values
+from .model import _level_of, _overflow_of, _require_finite, _require_finite_values
 
 __all__ = ["TreeConfig", "TreeValue", "solve_tree", "price_with_initial_exchange"]
 
@@ -89,7 +89,9 @@ class TreeValue:
 
     def node_prices(self, j: int) -> np.ndarray:
         """Underlying values at level j (2j+1 nodes, ascending)."""
-        return _node_prices(self.payoff.market, self.config, j)
+        m = self.payoff.market
+        drift, step = _lattice(m, self.config)
+        return m.S0 + drift * j + step * np.arange(-j, j + 1)
 
     def q_index(self, q: float) -> int:
         i = int(np.argmin(np.abs(self.qgrid - q)))
@@ -145,11 +147,6 @@ def _lattice(market, config: TreeConfig):
     """Drift per level and node spacing: node p of level j, |p| <= j, is
     at S0 + drift*j + step*p."""
     return market.mu * config.dt, market.sigma * math.sqrt(config.dt) * config.alpha
-
-
-def _node_prices(market, config: TreeConfig, j: int) -> np.ndarray:
-    drift, step = _lattice(market, config)
-    return market.S0 + drift * j + step * np.arange(-j, j + 1)
 
 
 def _default_qgrid(payoff, config: TreeConfig):
@@ -217,15 +214,17 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = Fa
 
     gamma = c.gamma
     drift, step = _lattice(m, config)
-    p_edge = 1.0 / (2.0 * alpha**2)
-    p_mid = 1.0 - 1.0 / alpha**2
-    growth = math.expm1(m.r * dt)  # e^{r dt} - 1
+    with _overflow_of("alpha"):
+        p_edge = 1.0 / (2.0 * alpha**2)
+        p_mid = 1.0 - 1.0 / alpha**2
+    with _overflow_of("r"):
+        growth = math.expm1(m.r * dt)  # e^{r dt} - 1
 
-    leaf_S = _node_prices(m, config, J)
     # levels are computed inventory-major, (n_q, nodes) C-contiguous, so the
     # min-plus sweep's shifted slices are contiguous; theta[j] and ctrl[j]
     # are their transposed (nodes, n_q) views
-    nxt = np.asarray(payoff.terminal(qgrid[:, None], leaf_S[None, :]), dtype=float)
+    nxt = np.asarray(payoff.terminal(qgrid[:, None], tv.node_prices(J)[None, :]),
+                     dtype=float)
     _require_finite_values(nxt.T, lambda node: f"terminal value at node {node}")
     if keep_values:
         theta[J] = nxt.T
@@ -233,8 +232,9 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = Fa
     d_up, d_mid, d_dn = drift + step, drift, drift - step
 
     for j in range(J - 1, -1, -1):
-        kappa = math.exp(m.r * (J - j - 1) * dt)
-        disc = math.exp(-m.r * (J - j) * dt)
+        with _overflow_of("r"):
+            kappa = math.exp(m.r * (J - j - 1) * dt)
+            disc = math.exp(-m.r * (J - j) * dt)
         V = float(m.volume.at(j * dt))
         g = gamma * kappa
 
@@ -253,8 +253,7 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = Fa
         rates = trade_ladder(payoff.cost, m.rho_max, V, dt, dq, nq)
         best, bmult = shift_min(lse, [g * V * dt * rate for rate in rates])
         if growth != 0.0:
-            S_nodes = _node_prices(m, config, j)
-            best = best + g * growth * (qgrid[:, None] * S_nodes[None, :])
+            best = best + g * growth * (qgrid[:, None] * tv.node_prices(j)[None, :])
         nxt = (disc / gamma) * best
         ctrl[j] = bmult.T
         _require_finite_values(nxt.T, lambda node: f"value at level {j}, node {node}")

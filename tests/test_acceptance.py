@@ -21,7 +21,6 @@ from liqhedge.model import (
     PayoffSpec,
     VolumeCurve,
     bachelier_price,
-    hamiltonian,
 )
 from liqhedge.pde import GridSpec, solve_theta
 from liqhedge.simulate import (
@@ -29,10 +28,10 @@ from liqhedge.simulate import (
     policy_trajectory,
     run_delta_hedge,
     run_policy_hedge,
-    wealth_decomposition_check,
     _twap_matrix,
 )
 from liqhedge.tree import TreeConfig, price_with_initial_exchange, solve_tree
+from oracles import hamiltonian
 
 N = 2e7
 COST = ExecutionCost(0.1, 0.75)
@@ -288,28 +287,6 @@ def test_twap_law_moments():
     mean, var = 0.5 * (44.2 + 45.1), sigma**2 * dt / 12.0
     assert abs(np.mean(fills) - mean) < 4 * math.sqrt(var / n)
     assert abs(np.var(fills, ddof=1) - var) < 4 * var * math.sqrt(2.0 / (n - 1))
-
-
-def test_wealth_identity_refines_linearly():
-    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0,
-                          mu=0.01, r=2e-4)
-    n_fine, T = 512, 63.0
-    for seed in (7, 21, 99):
-        rng = np.random.default_rng(seed)
-        W = np.concatenate([[0.0], np.cumsum(
-            math.sqrt(T / n_fine) * rng.standard_normal(n_fine))])
-        t_fine = np.linspace(0.0, T, n_fine + 1)
-        S_fine = 45.0 + 0.01 * t_fine + 0.6 * W
-        residuals = []
-        for lev in (64, 128, 256, 512):
-            stride = n_fine // lev
-            t, S = t_fine[::stride], S_fine[::stride]
-            v = np.full(lev, -1e7 / T)
-            q = 1e7 + np.concatenate([[0.0], np.cumsum(v * np.diff(t))])
-            residuals.append(abs(wealth_decomposition_check(t, S, q, v,
-                                                            market, COST)))
-        for coarse, fine in zip(residuals, residuals[1:]):
-            assert fine < 0.65 * coarse, f"seed={seed}: {residuals}"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,10 +156,18 @@ def test_float_keys_take_any_json_number(tmp_path):
     ("tree", "market", "r", 1e300),
     ("pde", "market", "r", 1e300),
     ("tree", "solver", "tree", {"dt": 1.0, "alpha": 1e300}),
+    ("tree", "market", "sigma", 1e300),
+    ("pde", "market", "sigma", 1e300),
+    ("tree", "market", "sigma", 1e150),
+    ("pde", "market", "sigma", 1e150),
+    ("tree", "contract", "gamma", 1e300),
+    ("pde", "contract", "gamma", 1e300),
 ])
 def test_huge_finite_input_is_numerical_failure(tmp_path, capsys, engine,
                                                 section, key, value):
-    # these overflow in Python floats (OverflowError), before numpy warns
+    # r, alpha and sigma**2 overflow in Python floats (OverflowError); at
+    # sigma 1e150 or gamma 1e300 the penalty overflows in numpy, silently
+    # (no RuntimeWarning), and its finiteness check raises
     cfg = reference_dict(solver={"pde": {"n_S": 21, "n_q": 11}})
     cfg["contract"]["T"] = 4.0
     cfg[section][key] = value
@@ -166,6 +175,8 @@ def test_huge_finite_input_is_numerical_failure(tmp_path, capsys, engine,
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
+    name = {"tree": "alpha"}.get(key, key)
+    assert re.search(rf"\b{name}\b", err), err
 
 
 def test_grid_too_large_to_allocate_is_config_error(tmp_path, capsys):
@@ -453,10 +464,11 @@ def test_simulate_non_finite_statistics_are_numerical_failure(tmp_path, capsys):
                                      "strategies": ["delta"]})
     cfg["contract"]["T"] = 4.0
     cfg["cost"]["eta"] = 1e300
-    with pytest.warns(RuntimeWarning):  # numpy warns on the overflow first
-        code = main(["simulate", "--config", write(tmp_path, cfg)])
+    # numpy's overflow warning stays silent, so stderr is the one line
+    code = main(["simulate", "--config", write(tmp_path, cfg)])
     assert code == 3
-    assert capsys.readouterr().err.startswith("numerical failure:")
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
 
 
 def test_simulate_rejects_permanent_impact(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Core model tests: closed forms against independent oracles.
 
-Oracles: dense grid search for the Hamiltonian, scipy quadrature for the
-liquidation penalty and the Bachelier price. Frozen values computed from
-those oracles are asserted alongside.
+Oracles: dense grid search for the Hamiltonian (tests/oracles.py), scipy
+quadrature for the liquidation penalty and the Bachelier price. Frozen
+values computed from those oracles are asserted alongside.
 """
 
 import dataclasses
@@ -25,11 +25,9 @@ from liqhedge.model import (
     VolumeCurve,
     bachelier_delta,
     bachelier_price,
-    hamiltonian,
-    liquidation_penalty,
     optimal_rate,
-    rescale_nominal,
 )
+from oracles import hamiltonian, rescale_nominal
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +124,14 @@ def test_hamiltonian_eta_zero_bang_bang():
 REF_COST = ExecutionCost(eta=0.1, phi=0.75, psi=0.0)
 
 
+def liquidation_penalty(q, cost, rate, gamma, sigma, volume):
+    """ell(q) of PayoffSpec's closed form, unwinding at `rate` against a
+    constant `volume`; rho_max = rate, so every rate > 0 is admissible."""
+    contract = OptionContract(K=45.0, T=63.0, N=2e7, gamma=gamma)
+    market = MarketParams(S0=45.0, sigma=sigma, volume=volume, rho_max=rate)
+    return PayoffSpec(contract, market, cost, penalty_rate=rate).liquidation(q)
+
+
 def test_penalty_reference_value_and_quadrature():
     # frozen: 2e7 shares at rate 5 against 4e6/day, gamma 2e-7, sigma 0.6
     val = liquidation_penalty(2e7, REF_COST, 5.0, 2e-7, 0.6, 4e6)
@@ -159,11 +165,18 @@ def test_penalty_shape_properties():
 
 
 def test_penalty_errors():
-    with pytest.raises(ValueError):
+    # PayoffSpec rejects a zero rate and a zero final volume up front
+    with pytest.raises(ValueError, match="penalty_rate"):
         liquidation_penalty(1e6, REF_COST, 0.0, 2e-7, 0.6, 4e6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="volume"):
         liquidation_penalty(1e6, REF_COST, 5.0, 2e-7, 0.6, 0.0)
-    assert liquidation_penalty(0.0, REF_COST, 5.0, 2e-7, 0.6, 0.0) == 0.0
+    assert liquidation_penalty(0.0, REF_COST, 5.0, 2e-7, 0.6, 4e6) == 0.0
+    # an overflow names the formula's inputs, the huge one included
+    with pytest.raises(FloatingPointError, match="gamma = 1e\\+300"), \
+            np.errstate(over="ignore"):
+        liquidation_penalty(2e7, REF_COST, 5.0, 1e300, 0.6, 4e6)
+    with pytest.raises(OverflowError, match="sigma"):
+        liquidation_penalty(2e7, REF_COST, 5.0, 2e-7, 1e300, 4e6)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from liqhedge.model import (
     PayoffSpec,
     VolumeCurve,
     bachelier_price,
-    hamiltonian,
+    optimal_rate,
 )
 from liqhedge.pde import (
     GridSpec,
@@ -119,7 +119,7 @@ def test_policy_matches_marginal_value(reference_surface):
     iq = g.n_q // 2
     for jS in (g.n_S // 3, g.n_S // 2, 2 * g.n_S // 3):
         p = -(th[iq + 1, jS] - th[iq - 1, jS]) / (2 * dq)
-        _, rho_star = hamiltonian(cost, p, 5.0)
+        rho_star = optimal_rate(cost, p, 5.0)
         got = ctl[iq, jS] / 4e6
         assert abs(got - rho_star) < 0.35  # control grid is coarse
         if abs(rho_star) > 0.2:

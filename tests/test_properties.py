@@ -1,0 +1,78 @@
+"""Property tests of both engines on small random pricing problems.
+
+Each problem runs over T = 2..4 days with N = V = 1e6 shares and a
+liquidation rate of 0.5. The tree takes dt 0.25 and dq 1.25e4, so every
+rho_max drawn as a multiple of 0.05 trades whole inventory steps; the PDE
+takes a 121 x 49 grid at 4 steps a day. A solve takes about 0.01 s on the
+tree and 0.02 s on the PDE.
+
+The indifference price charges the writer for trading costs and risk, so it
+does not fall when eta doubles or gamma triples, and on the tree it does not
+rise when rho_max doubles (a wider cap only adds trades). The PDE's rho_max
+property is left out: its interpolated rates come from
+linspace(-rho_max, rho_max, n_controls), and the set at 2*rho_max does not
+contain the set at rho_max, so doubling rho_max can raise the PDE price.
+"""
+
+import dataclasses
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liqhedge.model import ExecutionCost, MarketParams, OptionContract, PayoffSpec
+from liqhedge.pde import GridSpec, solve_theta
+from liqhedge.tree import TreeConfig, solve_tree
+
+N = V = 1e6
+TREE = TreeConfig(dt=0.25, dq=1.25e4)
+
+
+@st.composite
+def problems(draw):
+    contract = OptionContract(
+        K=draw(st.floats(40.0, 50.0)), T=float(draw(st.integers(2, 4))), N=N,
+        gamma=10 ** draw(st.floats(-7.0, -5.0)),
+        q0=1.25e4 * draw(st.integers(0, 80)),
+        settlement=draw(st.sampled_from(["physical", "cash"])))
+    market = MarketParams(S0=45.0, sigma=draw(st.floats(0.2, 1.0)), volume=V,
+                          rho_max=draw(st.integers(10, 40)) / 20.0)
+    cost = ExecutionCost(eta=draw(st.floats(0.02, 0.3)), phi=draw(st.floats(0.5, 1.0)))
+    return PayoffSpec(contract, market, cost, penalty_rate=0.5)
+
+
+def tree_price(pay):
+    return solve_tree(pay, TREE).price(0.0, pay.contract.q0, pay.market.S0)
+
+
+def pde_price(pay):
+    grid = GridSpec.default(pay, n_S=121, n_q=49, steps_per_day=4)
+    return solve_theta(pay, grid).price(0.0, pay.contract.q0, pay.market.S0)
+
+
+def costlier(pay):
+    """The same problem with eta doubled, then with gamma tripled."""
+    yield dataclasses.replace(pay, cost=dataclasses.replace(pay.cost, eta=2 * pay.cost.eta))
+    yield dataclasses.replace(pay, contract=dataclasses.replace(
+        pay.contract, gamma=3 * pay.contract.gamma))
+
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+@PROPERTY
+@given(pay=problems())
+def test_tree_price_monotone_in_costs_and_cap(pay):
+    base = tree_price(pay)
+    for dearer in costlier(pay):
+        assert tree_price(dearer) >= base
+    wider = dataclasses.replace(pay, market=dataclasses.replace(
+        pay.market, rho_max=2 * pay.market.rho_max))
+    assert tree_price(wider) <= base
+
+
+@PROPERTY
+@given(pay=problems())
+def test_pde_price_monotone_in_costs(pay):
+    base = pde_price(pay)
+    for dearer in costlier(pay):
+        assert pde_price(dearer) >= base

@@ -19,13 +19,13 @@ from liqhedge.model import (
     OptionContract,
     PayoffSpec,
     VolumeCurve,
-    rescale_nominal,
 )
 from liqhedge.tree import (
     TreeConfig,
     price_with_initial_exchange,
     solve_tree,
 )
+from oracles import rescale_nominal
 
 
 def reference_payoff(**over):
