@@ -12,7 +12,6 @@ from liqhedge import (
     OptionContract,
     PayoffSpec,
     TreeConfig,
-    price_with_initial_exchange,
     solve_tree,
 )
 
@@ -31,9 +30,8 @@ def make(eta=0.1, gamma=2e-7, rho_max=5.0, settlement="physical"):
     )
 
 
-def price(payoff, q0=None):
-    tv = solve_tree(payoff, CFG)
-    return price_with_initial_exchange(tv, payoff.contract.q0 if q0 is None else q0) / N
+def price(payoff):
+    return solve_tree(payoff, CFG).price(0.0, payoff.contract.q0, 45.0) / N
 
 
 print("execution cost scale eta  (price per share)")
@@ -52,7 +50,7 @@ print("initial inventory x participation cap")
 # one tree per cap serves both q0 readouts: values are indexed by inventory
 for rho_max in (5.0, 0.5):
     tv = solve_tree(make(rho_max=rho_max), CFG)
-    row = [price_with_initial_exchange(tv, q0) / N for q0 in (0.0, 1e7)]
+    row = [tv.price(0.0, q0, 45.0) / N for q0 in (0.0, 1e7)]
     print(f"  rho_max = {rho_max:<4g}:  q0=0 -> {row[0]:.4f},  q0=N/2 -> {row[1]:.4f}")
 print("  starting uncovered costs more, and a tight cap compounds it")
 

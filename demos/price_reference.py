@@ -19,7 +19,6 @@ from liqhedge import (
     PayoffSpec,
     TreeConfig,
     bachelier_price,
-    price_with_initial_exchange,
     solve_theta,
     solve_tree,
 )
@@ -38,7 +37,7 @@ print(f"Bachelier premium (frictionless):   {cb:.4f} per share")
 
 t0 = time.time()
 tv = solve_tree(payoff, TreeConfig())
-p_tree = price_with_initial_exchange(tv, payoff.contract.q0) / N
+p_tree = tv.price(0.0, payoff.contract.q0, 45.0) / N
 print(f"Tree price (dt=0.25, dq=1e5):       {p_tree:.4f} per share"
       f"   [{time.time() - t0:.1f}s]")
 

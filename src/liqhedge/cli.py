@@ -122,9 +122,8 @@ _TABLES = {
                  "q0": _number, "settlement": str, "penalty_rate": _optional(_number)},
     "solver.tree": {"dt": _number, "alpha": _number, "dq": _optional(_number),
                     "q_min": _optional(_number), "q_max": _optional(_number)},
-    # the SchemeConfig keys, then the GridSpec.default keys
-    "solver.pde": {"order": str, "n_controls": _int,
-                   "n_S": _int, "n_q": _int, "steps_per_day": _number,
+    # the SchemeConfig key, then the GridSpec.default keys
+    "solver.pde": {"n_controls": _int, "n_S": _int, "n_q": _int, "steps_per_day": _number,
                    "S_min": _number, "S_max": _number, "q_min": _number,
                    "q_max": _number},
     "simulation": {"n_paths": _int, "n_obs": _int, "seed": _int, "strategies": list,
@@ -132,9 +131,10 @@ _TABLES = {
 }
 
 
-def _scheme_and_grid(payoff, **keys):
-    scheme = {k: keys.pop(k) for k in ("order", "n_controls") if k in keys}
-    return SchemeConfig(**scheme), GridSpec.default(payoff, **keys)
+def _scheme_and_grid(payoff, engine, n_controls=SchemeConfig.n_controls, **keys):
+    """The SchemeConfig, and the default grid on PDE runs only (else None)."""
+    scheme = SchemeConfig(n_controls)
+    return scheme, GridSpec.default(payoff, **keys) if engine == "pde" else None
 
 
 def _simulation(M=(10, 20, 40, 80, 160), strategies=("delta", "policy"), **keys):
@@ -192,7 +192,7 @@ def load_config(path: str, engine_override=None, seed_override=None) -> RunConfi
         raise ConfigError(f"engine must be 'pde' or 'tree', got '{engine}'")
     tree_config = _build("solver.tree", solver.get("tree", {}), TreeConfig)
     scheme, grid = _build("solver.pde", solver.get("pde", {}),
-                          lambda **keys: _scheme_and_grid(payoff, **keys))
+                          lambda **keys: _scheme_and_grid(payoff, engine, **keys))
     if engine == "tree":
         try:
             n_steps(payoff.contract.T, tree_config.dt)
@@ -357,10 +357,11 @@ def cmd_simulate(cfg: RunConfig, args) -> str:
     if "policy" in cfg.strategies:
         # the policy is solved on the simulation's own time grid
         steps = cfg.sim.n_obs - 1
-        on_paths = dataclasses.replace(
-            cfg,
-            tree_config=dataclasses.replace(cfg.tree_config, dt=pay.contract.T / steps),
-            grid=dataclasses.replace(cfg.grid, n_t=steps))
+        if cfg.engine == "tree":
+            tree = dataclasses.replace(cfg.tree_config, dt=pay.contract.T / steps)
+            on_paths = dataclasses.replace(cfg, tree_config=tree)
+        else:
+            on_paths = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, n_t=steps))
         add(run_policy_hedge, _solve(on_paths)[0].solution, cfg.sim)
     rows.append(_meta_line(cfg))
     return "\n".join(rows) + "\n"

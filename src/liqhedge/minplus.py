@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from .model import _overflow_of
+
 
 def trade_ladder(cost, rho_max, V, dt, dq, n_q):
     """Cost rates L(w*dq/(V*dt)) of the whole-step trades w = 1..m_cap, where
@@ -13,7 +15,8 @@ def trade_ladder(cost, rho_max, V, dt, dq, n_q):
     engine scales by V*dt in its own order of multiplication."""
     if V <= 0:
         return []
-    m_cap = min(math.floor(rho_max * V * dt / dq + 1e-9), n_q - 1)
+    with _overflow_of("rho_max*V*dt/dq"):
+        m_cap = min(math.floor(rho_max * V * dt / dq + 1e-9), n_q - 1)
     return [cost(w * dq / (V * dt)) for w in range(1, m_cap + 1)]
 
 

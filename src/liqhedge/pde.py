@@ -22,8 +22,8 @@ into three fractional substeps:
     the kernel the tree uses too. The minimizer is stored as the policy
     v = rho*V.
 
-The first step after the terminal condition always runs (A) first, which
-smooths the payoff discontinuity before the nonlinear substeps see it.
+Every step runs (A), (B), (C) in that order; (A) first smooths the payoff
+discontinuity before the nonlinear substeps see it.
 """
 
 from __future__ import annotations
@@ -95,15 +95,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Splitting order ("ABC" or "ACB"; A always first) and control-set
-    size for the semi-Lagrangian step."""
+    """Control-set size of the semi-Lagrangian trading substep: n_controls
+    participation rates, evenly spaced over [-rho_max, rho_max]."""
 
-    order: str = "ABC"
     n_controls: int = 41
 
     def __post_init__(self):
-        if self.order not in ("ABC", "ACB"):
-            raise ValueError("order must be 'ABC' or 'ACB'")
         if self.n_controls < 3 or self.n_controls % 2 == 0:
             raise ValueError("n_controls must be odd and >= 3 (0 must be a candidate)")
 
@@ -181,7 +178,8 @@ def _build_banded_A(grid: GridSpec, market, dt: float) -> np.ndarray:
     mu, r = market.mu, market.r
     with _overflow_of("sigma"):
         sig2 = market.sigma**2
-    diff = 0.5 * sig2 / dS**2
+    with _overflow_of("S0, K or the S step (S_max - S_min)/(n_S - 1)"):
+        diff = 0.5 * sig2 / dS**2
     adv = mu / (2.0 * dS)
     lower = np.zeros(nS)
     diag = np.zeros(nS)
@@ -329,21 +327,21 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
     else:
         source = None
 
+    def finite(theta, step, n):
+        _require_finite_values(theta, lambda ij: f"theta after substep {step} "
+                               f"at level {n}, q={qgrid[ij[0]]:.6g}, S={Sgrid[ij[1]]:.6g}")
+        return theta
+
     for n in range(grid.n_t - 1, -1, -1):
         tau_new = c.T - n * dt
         with _overflow_of("r"):  # sigma**2 passed _build_banded_A
             coef = c.gamma * m.sigma**2 * math.exp(m.r * tau_new)
         V = float(m.volume.at(n * dt))  # [t_n, t_{n+1}) trades against V(t_n)
 
-        for step in scheme.order:
-            if step == "A":
-                theta = _step_A(theta, ab, source)
-            elif step == "B":
-                theta = _step_B(theta, qcol, dS, coef, dt)
-            else:
-                theta, vstar = _step_C(theta, qgrid, payoff.cost, m.rho_max, V, dt, rates)
-            _require_finite_values(theta, lambda ij: f"theta after substep {step} "
-                                   f"at level {n}, q={qgrid[ij[0]]:.6g}, S={Sgrid[ij[1]]:.6g}")
+        theta = finite(_step_A(theta, ab, source), "A", n)
+        theta = finite(_step_B(theta, qcol, dS, coef, dt), "B", n)
+        theta, vstar = _step_C(theta, qgrid, payoff.cost, m.rho_max, V, dt, rates)
+        finite(theta, "C", n)
         if keep_values or n == 0:
             values[n] = theta
         control[n] = vstar

@@ -20,7 +20,7 @@ Bachelier delta in one call.
 
 import ctypes
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -207,13 +207,11 @@ def _normal_matrix(seed: int, n_paths: int, n: int, stream: int,
     return out
 
 
-def simulate_price_paths(market, cfg: PathConfig, T: float,
-                         n_obs: Optional[int] = None) -> np.ndarray:
+def simulate_price_paths(market, cfg: PathConfig, T: float) -> np.ndarray:
     """(n_paths, n_obs) matrix of arithmetic-Brownian paths over [0, T]."""
-    n_obs = cfg.n_obs if n_obs is None else n_obs
-    steps = n_obs - 1
+    steps = cfg.n_obs - 1
     dt = T / steps
-    S = np.empty((cfg.n_paths, n_obs))
+    S = np.empty((cfg.n_paths, cfg.n_obs))
     S[:, 0] = market.S0
     # the normals, then the increments, then the path, all in S[:, 1:]
     Z = _normal_matrix(cfg.seed, cfg.n_paths, steps, _PRICE_STREAM, out=S[:, 1:])
@@ -242,16 +240,15 @@ def _twap_matrix(S: np.ndarray, sigma: float, dt: float, seed: int) -> np.ndarra
     return twap
 
 
-def _hedge(payoff: PayoffSpec, S: np.ndarray, seed: int, q0, trade, per: float,
-           charge: bool = True):
+def _hedge(payoff: PayoffSpec, S: np.ndarray, seed: int, q0, trade, per: float):
     """The cash recursion both strategies share; returns (cash, q, fees).
 
     Over each interval [t_i, t_{i+1}) of the paths S the strategy, holding
     q, trades x = trade(i, q) shares per `per` days at constant speed: cash
-    compounds, the x*dt/per shares fill at the interval's TWAP and, with
-    `charge`, pay the fee V*dt*L(x/(V*per)) against the volume V = V(t_i)
-    at the interval's start, as in both solvers. An interval on which no
-    path trades pays nothing; trading on a zero-volume one raises.
+    compounds, the x*dt/per shares fill at the interval's TWAP and pay the
+    fee V*dt*L(x/(V*per)) against the volume V = V(t_i) at the interval's
+    start, as in both solvers. An interval on which no path trades pays
+    nothing; trading on a zero-volume one raises.
     """
     m = payoff.market
     steps = S.shape[1] - 1
@@ -265,7 +262,7 @@ def _hedge(payoff: PayoffSpec, S: np.ndarray, seed: int, q0, trade, per: float,
     for i in range(steps):
         x = trade(i, q)
         fee = 0.0
-        if charge and np.any(x != 0):
+        if np.any(x != 0):
             V = m.volume.at(i * dt)
             if V == 0:
                 raise ValueError(f"trade on the zero-volume interval "
@@ -290,8 +287,7 @@ def _stats(strategy: str, M: int, cfg: PathConfig, payoff: PayoffSpec,
                     len(X_T) - len(cost))
 
 
-def run_delta_hedge(payoff: PayoffSpec, cfg: PathConfig,
-                    exec_costs: bool = True) -> PnLStats:
+def run_delta_hedge(payoff: PayoffSpec, cfg: PathConfig) -> PnLStats:
     """Bachelier delta-hedging benchmark at M rebalance dates.
 
     The initial inventory is exchanged at S0: q0 = N * delta(0). Each
@@ -299,8 +295,9 @@ def run_delta_hedge(payoff: PayoffSpec, cfg: PathConfig,
     interval and filled at that interval's TWAP; the last interval only
     completes the previous difference, so q_T carries the one-period lag.
     The participation cap is deliberately not applied to the benchmark, so
-    with exec_costs it raises ValueError where it trades on a zero-volume
-    interval.
+    it raises ValueError where it trades on a zero-volume interval. For the
+    fee-free ladder pass replace(payoff, cost=ExecutionCost(0.0, phi),
+    penalty=payoff.liquidation).
     """
     if cfg.M is None:
         raise ValueError("PathConfig.M is required for the delta hedge")
@@ -309,15 +306,14 @@ def run_delta_hedge(payoff: PayoffSpec, cfg: PathConfig,
         raise ValueError("the benchmark comparison is defined for k = 0")
     M = cfg.M
     dt = c.T / M
-    S = simulate_price_paths(m, cfg, c.T, n_obs=M + 1)
+    S = simulate_price_paths(m, replace(cfg, n_obs=M + 1), c.T)
     delta = bachelier_delta(S[:, :M], c.K, m.sigma, c.T - dt * np.arange(M))
 
     def trade(i, q):
         # the difference of deltas at t_{i-1} and t_i, worked over [t_i, t_{i+1})
         return c.N * (delta[:, i] - delta[:, i - 1]) if i else 0.0
 
-    X, _, exec_paid = _hedge(payoff, S, cfg.seed, c.N * delta[:, 0], trade,
-                             per=dt, charge=exec_costs)
+    X, _, exec_paid = _hedge(payoff, S, cfg.seed, c.N * delta[:, 0], trade, per=dt)
     return _stats("delta", M, cfg, payoff, c.N * delta[:, -1], S[:, -1], X,
                   exec_paid)
 

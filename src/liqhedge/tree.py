@@ -156,7 +156,8 @@ def _default_qgrid(payoff, config: TreeConfig):
         dq = float(config.dq)
     elif trade > 0 and c.N > 0:
         # largest divisor of the per-step trade capacity with N/dq >= 200
-        dq = trade / math.ceil(200.0 * trade / c.N)
+        with _overflow_of("rho_max*V*dt/N"):
+            dq = trade / math.ceil(200.0 * trade / c.N)
     elif c.N > 0:
         dq = c.N / 200.0
     else:
@@ -168,7 +169,8 @@ def _default_qgrid(payoff, config: TreeConfig):
         raise ValueError("q_max must be >= q_min")
     if hi == lo:
         return np.array([lo]), dq
-    n = int(math.ceil((hi - lo) / dq - 1e-9))
+    with _overflow_of("(q_max - q_min)/dq"):
+        n = int(math.ceil((hi - lo) / dq - 1e-9))
     return lo + dq * np.arange(n + 1), dq
 
 
@@ -201,8 +203,9 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = Fa
 
     if m.volume.is_constant and m.rho_max > 0 and nq > 1:
         trade = m.rho_max * m.volume.final_value * dt
-        if abs(trade / dq - round(trade / dq)) > 1e-6:
-            raise ValueError("rho_max*V*dt must be an integer multiple of dq")
+        with _overflow_of("rho_max*V*dt/dq"):
+            if abs(trade / dq - round(trade / dq)) > 1e-6:
+                raise ValueError("rho_max*V*dt must be an integer multiple of dq")
     t_grid = dt * np.arange(J + 1)
     theta = [None] * (J + 1) if keep_values else [None]
     ctrl = [None] * J
@@ -263,8 +266,6 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = Fa
     return tv
 
 
-def price_with_initial_exchange(tv: TreeValue, q0: Optional[float] = None) -> float:
-    """theta_0(q0, S0): indifference price after the client hands over q0 at S0."""
-    if q0 is None:
-        q0 = tv.payoff.contract.q0
-    return tv.price(0.0, q0, tv.payoff.market.S0)
+def price_with_initial_exchange(tv: TreeValue) -> float:
+    """theta_0(q0, S0) at the contract's q0: the indifference price."""
+    return tv.price(0.0, tv.payoff.contract.q0, tv.payoff.market.S0)

@@ -30,7 +30,7 @@ from liqhedge.simulate import (
     run_policy_hedge,
     _twap_matrix,
 )
-from liqhedge.tree import TreeConfig, price_with_initial_exchange, solve_tree
+from liqhedge.tree import TreeConfig, solve_tree
 from oracles import hamiltonian
 
 N = 2e7
@@ -47,7 +47,7 @@ def ref_payoff(eta=0.1, gamma=2e-7, q0=1e7, rho_max=5.0,
 
 
 def tree_price(tv, q0=None):
-    return price_with_initial_exchange(tv, q0) / N
+    return tv.price(0.0, tv.payoff.contract.q0 if q0 is None else q0, 45.0) / N
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,12 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     cfg2 = reference_dict(extra={})
     assert run(capsys, "price", "--config", write(tmp_path, cfg2, "b.json"))[0] == 2
 
+    # the PDE always splits A, B, C; the order is not a setting
+    cfg3 = write(tmp_path, reference_dict(solver={"pde": {"order": "ABC"}}), "c.json")
+    for engine in ("tree", "pde"):
+        assert main(["price", "--engine", engine, "--config", cfg3]) == 2
+        assert "unknown key(s) ['order']" in capsys.readouterr().err
+
 
 def test_missing_section_bad_json_missing_file(tmp_path, capsys):
     cfg = reference_dict()
@@ -162,12 +168,16 @@ def test_float_keys_take_any_json_number(tmp_path):
     ("pde", "market", "sigma", 1e150),
     ("tree", "contract", "gamma", 1e300),
     ("pde", "contract", "gamma", 1e300),
+    ("pde", "contract", "K", 1e300),
+    ("pde", "market", "S0", 1e300),
+    ("tree", "market", "rho_max", 1e300),
 ])
 def test_huge_finite_input_is_numerical_failure(tmp_path, capsys, engine,
                                                 section, key, value):
-    # r, alpha and sigma**2 overflow in Python floats (OverflowError); at
-    # sigma 1e150 or gamma 1e300 the penalty overflows in numpy, silently
-    # (no RuntimeWarning), and its finiteness check raises
+    # r, alpha and sigma**2 overflow in Python floats (OverflowError), as
+    # do the PDE's S step at K or S0 1e300 and the tree's inventory step at
+    # rho_max 1e300; at sigma 1e150 or gamma 1e300 the penalty overflows in
+    # numpy, silently (no RuntimeWarning), and its finiteness check raises
     cfg = reference_dict(solver={"pde": {"n_S": 21, "n_q": 11}})
     cfg["contract"]["T"] = 4.0
     cfg[section][key] = value
@@ -177,6 +187,22 @@ def test_huge_finite_input_is_numerical_failure(tmp_path, capsys, engine,
     assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
     name = {"tree": "alpha"}.get(key, key)
     assert re.search(rf"\b{name}\b", err), err
+
+
+def test_tree_runs_where_the_default_pde_grid_cannot(tmp_path, capsys):
+    # sigma 1e-300 leaves no width to the default S range, S_max == S_min;
+    # only the PDE reads that grid, so the tree prices and simulates
+    cfg = reference_dict(solver={"tree": {"dt": 1.0}},
+                         simulation={"n_paths": 20, "n_obs": 5, "M": [4]})
+    cfg["market"]["sigma"] = 1e-300
+    cfg["contract"]["T"] = 4.0
+    path = write(tmp_path, cfg)
+    code, out = run(capsys, "price", "--engine", "tree", "--config", path)
+    assert code == 0 and math.isfinite(json.loads(out)["price_total"])
+    assert run(capsys, "simulate", "--engine", "tree", "--config", path)[0] == 0
+    for command in ("price", "simulate"):
+        assert main([command, "--engine", "pde", "--config", path]) == 2
+        assert "need S_max > S_min" in capsys.readouterr().err
 
 
 def test_grid_too_large_to_allocate_is_config_error(tmp_path, capsys):
@@ -237,7 +263,9 @@ def test_invalid_field_value_reports_config_error(tmp_path, capsys):
 ])
 def test_bad_values_exit_with_config_error(tmp_path, capsys, command,
                                            section, key, value):
-    cfg = reference_dict(solver={"engine": "tree"},
+    # a solver.pde value is checked on the engine that reads it
+    engine = "pde" if key == "pde" else "tree"
+    cfg = reference_dict(solver={"engine": engine},
                          simulation={"n_paths": 20, "M": [10]})
     cfg[section][key] = value
     code = main([command, "--config", write(tmp_path, cfg)])
@@ -550,8 +578,7 @@ FUZZ_BASE = {
         "engine": "pde",
         "tree": {"dt": 1.0, "alpha": 1.5, "dq": 1e5, "q_min": 0.0, "q_max": 2e7},
         "pde": {"n_S": 21, "n_q": 11, "steps_per_day": 2, "S_min": 36.0,
-                "S_max": 54.0, "q_min": -2e6, "q_max": 2.2e7, "order": "ABC",
-                "n_controls": 5},
+                "S_max": 54.0, "q_min": -2e6, "q_max": 2.2e7, "n_controls": 5},
     },
     "simulation": {"n_paths": 40, "n_obs": 5, "seed": 1, "M": [2, 4],
                    "strategies": ["delta", "policy"]},

@@ -2,10 +2,12 @@
 force over every shift, with integer data so that exact ties occur."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liqhedge.minplus import shift_min
+from liqhedge.minplus import shift_min, trade_ladder
+from liqhedge.model import ExecutionCost
 
 
 def brute_shift_min(f, costs):
@@ -90,3 +92,9 @@ def test_shift_min_tie_keeps_signed_zero():
     best, shift = shift_min(f, [-0.0])
     np.testing.assert_array_equal(np.signbit(best), [False, True])
     np.testing.assert_array_equal(shift, 0)
+
+
+def test_trade_ladder_names_an_overflowing_trade():
+    # rho_max*V is inf in floats, and floor(inf) has no integer value
+    with pytest.raises(OverflowError, match=r"overflow: rho_max\*V\*dt/dq"):
+        trade_ladder(ExecutionCost(0.1, 0.75), 1e303, 4e6, 1.0, 1e5, 11)

@@ -4,7 +4,7 @@ With trading disabled and the terminal condition zeroed out the scheme has a
 closed-form solution, exact in both time and space; that pins down the signs
 and placement of every splitting substep. The reference scenario is a frozen
 regression value. Structural checks cover convexity, the price lower bound,
-splitting-order convergence, and grid validation.
+the control-set size, and grid validation.
 """
 
 import math
@@ -130,16 +130,6 @@ def test_policy_matches_marginal_value(reference_surface):
 # splitting structure
 # ---------------------------------------------------------------------------
 
-def test_splitting_orders_converge():
-    pay = reference_payoff(T=16.0)
-    gaps = []
-    for n_t in (16, 32):
-        a = solve_theta(pay, small_grid(pay, n_t=n_t), SchemeConfig(order="ABC"))
-        b = solve_theta(pay, small_grid(pay, n_t=n_t), SchemeConfig(order="ACB"))
-        gaps.append(abs(a.price(0.0, 1e7, 45.0) - b.price(0.0, 1e7, 45.0)))
-    assert gaps[1] < 0.8 * gaps[0]
-
-
 def test_more_controls_never_raise_value():
     # a finer control set can only improve the minimization
     pay = reference_payoff(T=16.0)
@@ -232,8 +222,6 @@ def test_grid_validation():
                       field: bad}
             with pytest.raises(ValueError, match=field):
                 GridSpec(n_S=11, n_q=5, n_t=4, **bounds)
-    with pytest.raises(ValueError):
-        SchemeConfig(order="BAC")
     with pytest.raises(ValueError):
         SchemeConfig(n_controls=40)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Monte-Carlo harness tests: path generation, TWAP fills, the two hedging
 runners, and the discrete wealth-decomposition identity."""
 
+import dataclasses
 import math
 import random
 import types
@@ -46,6 +47,12 @@ def make_payoff(sigma=0.6, S0=45.0, q0=1e7, rho_max=5.0, cost=COST, k=0.0,
 
 def zero_penalty(q):
     return np.zeros(np.shape(q))
+
+
+def fee_free(pay):
+    """The same problem with no execution fee and the same terminal payoff."""
+    return dataclasses.replace(pay, cost=ExecutionCost(0.0, pay.cost.phi),
+                               penalty=pay.liquidation)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +209,8 @@ def test_delta_hedge_deep_itm_tiny_vol():
 def test_delta_hedge_execution_fees_increase_cost():
     pay = make_payoff(q0=0.0)
     cfg = PathConfig(n_paths=500, seed=2, M=20)
-    with_fees = run_delta_hedge(pay, cfg, exec_costs=True)
-    without = run_delta_hedge(pay, cfg, exec_costs=False)
+    with_fees = run_delta_hedge(pay, cfg)
+    without = run_delta_hedge(fee_free(pay), cfg)
     assert with_fees.exec_cost_mean > 0.0
     assert without.exec_cost_mean == 0.0
     assert with_fees.mean_cost > without.mean_cost
@@ -244,7 +251,6 @@ def test_delta_hedge_rejects_trading_on_zero_volume():
     cfg = PathConfig(n_paths=20, seed=1, M=3)
     with pytest.raises(ValueError, match=r"zero-volume interval \[21, 42\)"):
         run_delta_hedge(pay, cfg)
-    assert run_delta_hedge(pay, cfg, exec_costs=False).exec_cost_mean == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +344,7 @@ def test_hedge_statistics_pinned():
     assert run_delta_hedge(pay, cfg) == PnLStats(
         "delta", 4, 12803213.836179059, 24501810246417.33, 1353167.052648426,
         200, 1, 0)
-    assert run_delta_hedge(pay, cfg, exec_costs=False) == PnLStats(
+    assert run_delta_hedge(fee_free(pay), cfg) == PnLStats(
         "delta", 4, 11449946.609586935, 21502663025306.258, 0.0, 200, 1, 0)
     assert run_policy_hedge(pay, tv, cfg) == PnLStats(
         "policy", 4, 12467088.19831173, 23736363758553.637, 945433.4612244987,

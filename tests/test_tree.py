@@ -20,11 +20,7 @@ from liqhedge.model import (
     PayoffSpec,
     VolumeCurve,
 )
-from liqhedge.tree import (
-    TreeConfig,
-    price_with_initial_exchange,
-    solve_tree,
-)
+from liqhedge.tree import TreeConfig, price_with_initial_exchange, solve_tree
 from oracles import rescale_nominal
 
 
@@ -139,8 +135,8 @@ def test_lean_solve_stores_controls_and_one_level(lean_and_full_tree):
 
 def test_full_hedge_start_costs_more(reference_tree):
     # starting with no stock forces the hedge to be bought at a cost
-    p_half = price_with_initial_exchange(reference_tree, 1e7) / 2e7
-    p_zero = price_with_initial_exchange(reference_tree, 0.0) / 2e7
+    p_half = reference_tree.price(0.0, 1e7, 45.0) / 2e7
+    p_zero = reference_tree.price(0.0, 0.0, 45.0) / 2e7
     assert abs(p_zero - 2.1833149591) < 1e-6
     assert p_zero > p_half
 
@@ -246,9 +242,14 @@ def test_q_index_rejects_nan(reference_tree):
         reference_tree.q_index(math.nan)
 
 
-def test_price_with_initial_exchange_rejects_nan(reference_tree):
-    with pytest.raises(ValueError, match="inventory grid"):
-        price_with_initial_exchange(reference_tree, math.nan)
+@pytest.mark.parametrize("rho_max, dq, name", [
+    (1e303, 1e5, r"rho_max\*V\*dt/dq"),  # rho_max*V*dt is inf in floats
+    (5.0, 1e-303, r"\(q_max - q_min\)/dq"),  # the grid's node count is inf
+])
+def test_overflow_on_a_given_dq_is_named(rho_max, dq, name):
+    # ceil and round of inf have no integer value
+    with pytest.raises(OverflowError, match="overflow: " + name):
+        solve_tree(reference_payoff(T=4.0, rho_max=rho_max), TreeConfig(dt=1.0, dq=dq))
 
 
 def test_tree_policy_rejects_infinite_inventory(reference_tree):
