@@ -19,8 +19,8 @@ into three fractional substeps:
     participation-rate set of [V*L(rho)*dt + theta(q + rho*V*dt)] with linear
     interpolation in q; displacements leaving the grid are excluded. The
     node-aligned rates (whole grid steps) go through `minplus.shift_min`,
-    the kernel the tree uses too. The minimizer is stored as the policy
-    v = rho*V.
+    the kernel the tree uses too, each node searched from its shift one
+    step later. The minimizer is stored as the policy v = rho*V.
 
 Every step runs (A), (B), (C) in that order; (A) first smooths the payoff
 discontinuity before the nonlinear substeps see it.
@@ -237,13 +237,15 @@ def _step_B(theta: np.ndarray, qcol: np.ndarray, dS: float, coef: float,
 
 
 def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
-            V: float, dt: float, rates: np.ndarray):
+            V: float, dt: float, rates: np.ndarray, guess):
     """Semi-Lagrangian trading substep over the nonzero control `rates`
-    (|rho| ascending, negative first); returns (new theta, control v)."""
+    (|rho| ascending, negative first); returns (new theta, control v, the
+    node-aligned shifts or None). `guess`, the node-aligned shifts of the
+    step after (or None), starts `shift_min`'s search."""
     nq = theta.shape[0]
     dq = qgrid[1] - qgrid[0]
     if rho_max <= 0 or V <= 0:
-        return theta.copy(), np.zeros_like(theta)
+        return theta.copy(), np.zeros_like(theta), None
 
     # node-aligned candidates: every destination reachable within the
     # participation cap, exact (no interpolation); without these the min
@@ -251,7 +253,7 @@ def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
     # the surface loses discrete convexity in q
     ladder = trade_ladder(cost, rho_max, V, dt, dq, nq)
     m_cap = len(ladder)
-    best, shift = shift_min(theta, [V * rate * dt for rate in ladder])
+    best, shift = shift_min(theta, [V * rate * dt for rate in ladder], guess)
     speeds = np.arange(-m_cap, m_cap + 1) * dq / (V * dt) * V
     vstar = speeds[shift + m_cap]
 
@@ -285,7 +287,7 @@ def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
     j = np.broadcast_to(np.arange(theta.shape[1]), theta.shape)
     cand = V * cost(rho_used) * dt + (1 - fr) * theta[i0, j] + fr * theta[i0 + 1, j]
     take_cheaper(cand, best, vstar, rho_used * V)
-    return best, vstar
+    return best, vstar, shift
 
 
 def solve_theta(payoff, grid: Optional[GridSpec] = None,
@@ -332,6 +334,7 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
                                f"at level {n}, q={qgrid[ij[0]]:.6g}, S={Sgrid[ij[1]]:.6g}")
         return theta
 
+    shift = None
     for n in range(grid.n_t - 1, -1, -1):
         tau_new = c.T - n * dt
         with _overflow_of("r"):  # sigma**2 passed _build_banded_A
@@ -340,7 +343,8 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
 
         theta = finite(_step_A(theta, ab, source), "A", n)
         theta = finite(_step_B(theta, qcol, dS, coef, dt), "B", n)
-        theta, vstar = _step_C(theta, qgrid, payoff.cost, m.rho_max, V, dt, rates)
+        theta, vstar, shift = _step_C(theta, qgrid, payoff.cost, m.rho_max, V, dt,
+                                      rates, shift)
         finite(theta, "C", n)
         if keep_values or n == 0:
             values[n] = theta

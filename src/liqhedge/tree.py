@@ -233,6 +233,7 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = Fa
         theta[J] = nxt.T
 
     d_up, d_mid, d_dn = drift + step, drift, drift - step
+    bmult = None
 
     for j in range(J - 1, -1, -1):
         with _overflow_of("r"):
@@ -251,10 +252,13 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = Fa
             + p_mid * np.exp(z_mid - zmax)
             + p_edge * np.exp(z_dn - zmax)
         )
+        del z_up, z_mid, z_dn, zmax  # freed before the sweep's own temporaries
 
-        # min-plus sweep over whole-step inventory shifts
+        # min-plus sweep over whole-step inventory shifts, each node searched
+        # from its middle child's trade one level later
         rates = trade_ladder(payoff.cost, m.rho_max, V, dt, dq, nq)
-        best, bmult = shift_min(lse, [g * V * dt * rate for rate in rates])
+        guess = None if bmult is None else bmult[:, 1:-1]
+        best, bmult = shift_min(lse, [g * V * dt * rate for rate in rates], guess)
         if growth != 0.0:
             best = best + g * growth * (qgrid[:, None] * tv.node_prices(j)[None, :])
         nxt = (disc / gamma) * best
