@@ -340,7 +340,7 @@ def cmd_simulate(cfg: RunConfig, args) -> str:
     pay = cfg.payoff
     if pay.market.k != 0.0:
         raise ConfigError("simulation requires k = 0")
-    rows = ["strategy,M,mean_cost,var_cost,exec_cost_mean,n_paths,seed"]
+    rows = ["strategy,M,mean_cost,var_cost,exec_cost_mean,n_paths,seed,excluded"]
 
     def add(run, *args):
         try:
@@ -349,7 +349,7 @@ def cmd_simulate(cfg: RunConfig, args) -> str:
             raise NumericalError(str(e))
         rows.append(f"{st.strategy},{st.M},{st.mean_cost:.10g},"
                     f"{st.var_cost:.10g},{st.exec_cost_mean:.10g},"
-                    f"{st.n},{st.seed}")
+                    f"{st.n},{st.seed},{st.excluded}")
 
     if "delta" in cfg.strategies:
         for M in cfg.M_list:

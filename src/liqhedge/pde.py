@@ -166,9 +166,9 @@ class ThetaSurface:
         """Speeds (shares/day) at each path's (q, S), clipped to the grid, on
         time level `level`; clears `alive` where (q, S) is off the grid or NaN."""
         g = self.grid
-        alive &= (q >= g.q_min) & (q <= g.q_max) & (S >= g.S_min) & (S <= g.S_max)
-        return self._interp(self.control[level], np.clip(q, g.q_min, g.q_max),
-                            np.clip(S, g.S_min, g.S_max))
+        q_in, S_in = np.clip(q, g.q_min, g.q_max), np.clip(S, g.S_min, g.S_max)
+        alive &= (q_in == q) & (S_in == S)  # NaN != NaN, so a NaN is outside
+        return self._interp(self.control[level], q_in, S_in)
 
 
 def _build_banded_A(grid: GridSpec, market, dt: float) -> np.ndarray:

@@ -14,8 +14,16 @@ uint32 arrays and PCG64's seeding in 64-bit limbs. One reused generator
 then draws every row: before each, the path's four state words are copied
 into the generator's own state memory, found through numpy's documented
 `bit_generator.ctypes` interface. The draws are bit-identical to building
-each path's generator. The delta ladder reads every rebalance date's
-Bachelier delta in one call.
+each path's generator.
+
+Both runners walk the paths in blocks of about _BLOCK_BYTES (8 MiB) of
+price, TWAP and delta matrices: each block is drawn into the same two
+buffers, hedged, and left behind as its paths' terminal cash, inventory,
+price and fees in full-length vectors. A run's memory therefore does not
+grow with n_paths beyond those vectors. A path's draws depend on (seed, i,
+purpose) alone and every hedging step is elementwise across paths, so the
+statistics are bit-identical whatever the block size. The delta ladder
+reads every rebalance date of a block's Bachelier deltas in one call.
 """
 
 import ctypes
@@ -117,9 +125,10 @@ def _mul64(x, y):
             mid << s32 | p00 & m32)
 
 
-def _pcg64_states(seed: int, n_paths: int, stream: int):
+def _pcg64_states(seed: int, start: int, stop: int, stream: int):
     """PCG64's (state, inc) seeded by SeedSequence((seed, i, stream)), as
-    (state_hi, state_lo, inc_hi, inc_lo) uint64 arrays over the paths i.
+    (state_hi, state_lo, inc_hi, inc_lo) uint64 arrays over the paths
+    start <= i < stop.
 
     numpy's SeedSequence (mix_entropy, then generate_state(4, uint64)) and
     PCG64's srandom, with every path i < 2**32 a lane of uint32 arrays:
@@ -129,10 +138,10 @@ def _pcg64_states(seed: int, n_paths: int, stream: int):
     covered by numpy's stream compatibility policy (NEP 19).
     """
     def const(w):
-        return np.full(n_paths, w, dtype=np.uint32)
+        return np.full(stop - start, w, dtype=np.uint32)
 
     entropy = ([const(w) for w in _words(seed)]
-               + [np.arange(n_paths, dtype=np.uint32), const(stream)])
+               + [np.arange(start, stop, dtype=np.uint32), const(stream)])
     hashmix = _hasher(0x43B0D7E5, 0x931E8875)  # numpy's INIT_A, MULT_A
     pool = [hashmix(entropy[k] if k < len(entropy) else const(0))
             for k in range(4)]
@@ -193,28 +202,28 @@ def _each_state(bitgen, limbs):
         yield
 
 
-def _normal_matrix(seed: int, n_paths: int, n: int, stream: int,
+def _normal_matrix(seed: int, start: int, stop: int, n: int, stream: int,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Row i: n standard normals of path i's (seed, i, stream) generator,
-    drawn into `out` (n_paths, n) when it is given."""
+    """Row i - start: n standard normals of path i's (seed, i, stream)
+    generator, for start <= i < stop, drawn into `out` when it is given."""
     gen = np.random.Generator(np.random.PCG64())
-    # allocated before the seeding temporaries: allocated after them, the
-    # matrix raised the hedge table's peak RSS by about 2 MiB
-    out = np.empty((n_paths, n)) if out is None else out
-    limbs = _pcg64_states(seed, n_paths, stream)
+    out = np.empty((stop - start, n)) if out is None else out
+    limbs = _pcg64_states(seed, start, stop, stream)
     for row, _ in zip(out, _each_state(gen.bit_generator, limbs)):
         gen.standard_normal(out=row)
     return out
 
 
-def simulate_price_paths(market, cfg: PathConfig, T: float) -> np.ndarray:
-    """(n_paths, n_obs) matrix of arithmetic-Brownian paths over [0, T]."""
-    steps = cfg.n_obs - 1
+def _price_paths(market, seed: int, start: int, stop: int, n_obs: int,
+                 T: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(stop - start, n_obs) arithmetic-Brownian paths start..stop-1 over
+    [0, T], drawn into `out` when it is given."""
+    steps = n_obs - 1
     dt = T / steps
-    S = np.empty((cfg.n_paths, cfg.n_obs))
+    S = np.empty((stop - start, n_obs)) if out is None else out
     S[:, 0] = market.S0
     # the normals, then the increments, then the path, all in S[:, 1:]
-    Z = _normal_matrix(cfg.seed, cfg.n_paths, steps, _PRICE_STREAM, out=S[:, 1:])
+    Z = _normal_matrix(seed, start, stop, steps, _PRICE_STREAM, out=S[:, 1:])
     Z *= market.sigma * math.sqrt(dt)
     Z += market.mu * dt
     np.cumsum(Z, axis=1, out=Z)
@@ -222,25 +231,43 @@ def simulate_price_paths(market, cfg: PathConfig, T: float) -> np.ndarray:
     return S
 
 
+def simulate_price_paths(market, cfg: PathConfig, T: float) -> np.ndarray:
+    """(n_paths, n_obs) matrix of arithmetic-Brownian paths over [0, T]."""
+    return _price_paths(market, cfg.seed, 0, cfg.n_paths, cfg.n_obs, T)
+
+
 # paths per midpoint temporary in _twap_matrix: a full-size one would cost
 # as much memory as the TWAP matrix itself
 _MID_CHUNK = 512
 
 
-def _twap_matrix(S: np.ndarray, sigma: float, dt: float, seed: int) -> np.ndarray:
-    """Conditional TWAP for every interval of every path, counter-seeded."""
+def _twap_matrix(S: np.ndarray, sigma: float, dt: float, seed: int,
+                 start: int = 0, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Conditional TWAP for every interval of the paths start, start+1, ...
+    whose prices are the rows of S, counter-seeded, into `out` when given."""
     n_paths, n_obs = S.shape
-    twap = _normal_matrix(seed, n_paths, n_obs - 1, _TWAP_STREAM)
+    twap = _normal_matrix(seed, start, start + n_paths, n_obs - 1, _TWAP_STREAM,
+                          out=out)
     twap *= sigma * math.sqrt(dt / 12.0)  # the noise
-    for start in range(0, n_paths, _MID_CHUNK):  # plus each interval's midpoint
-        rows = slice(start, start + _MID_CHUNK)
+    for a in range(0, n_paths, _MID_CHUNK):  # plus each interval's midpoint
+        rows = slice(a, a + _MID_CHUNK)
         mid = np.add(S[rows, :-1], S[rows, 1:])
         mid *= 0.5
         twap[rows] += mid
     return twap
 
 
-def _hedge(payoff: PayoffSpec, S: np.ndarray, seed: int, q0, trade, per: float):
+class _ZeroVolumeTrade(ValueError):
+    """A trade on the zero-volume interval [step*dt, (step+1)*dt)."""
+
+    def __init__(self, step: int, dt: float):
+        super().__init__(f"trade on the zero-volume interval "
+                         f"[{step * dt:g}, {(step + 1) * dt:g})")
+        self.step = step
+
+
+def _hedge(payoff: PayoffSpec, S: np.ndarray, twap: np.ndarray, q0, trade,
+           per: float):
     """The cash recursion both strategies share; returns (cash, q, fees).
 
     Over each interval [t_i, t_{i+1}) of the paths S the strategy, holding
@@ -253,25 +280,72 @@ def _hedge(payoff: PayoffSpec, S: np.ndarray, seed: int, q0, trade, per: float):
     m = payoff.market
     steps = S.shape[1] - 1
     dt = payoff.contract.T / steps
-    twap = _twap_matrix(S, m.sigma, dt, seed)
     with _overflow_of("r"):
         growth = math.exp(m.r * dt)
+    volumes = m.volume.at(dt * np.arange(steps)).tolist()
+    filled = dt / per
     q = q0
     X = -q0 * S[:, 0]
     exec_paid = np.zeros(S.shape[0])
-    for i in range(steps):
+    for i, V in enumerate(volumes):
         x = trade(i, q)
-        fee = 0.0
-        if np.any(x != 0):
-            V = m.volume.at(i * dt)
+        dq = x * filled
+        X = X * growth - dq * twap[:, i]
+        if np.count_nonzero(x):  # NaN counts as a trade, -0.0 does not
             if V == 0:
-                raise ValueError(f"trade on the zero-volume interval "
-                                 f"[{i * dt:g}, {(i + 1) * dt:g})")
+                raise _ZeroVolumeTrade(i, dt)
             fee = V * dt * payoff.cost(x / (V * per))
             exec_paid += fee
-        X = X * growth - x * (dt / per) * twap[:, i] - fee
-        q = q + x * (dt / per)
+            X -= fee
+        q = q + dq
     return X, q, exec_paid
+
+
+# bytes of the matrices a block of paths holds: its prices, its TWAP fills
+# and the delta ladder's deltas. The runners draw, hedge and drop the paths
+# this many bytes at a time, so the short delta rungs run in one block and
+# no matrix grows with n_paths
+_BLOCK_BYTES = 8 << 20
+
+
+def _walk(payoff: PayoffSpec, cfg: PathConfig, hedge_block, ladder: int = 0):
+    """Hedge cfg's paths block by block; returns full-length (cash, q_T,
+    S_T, fees) vectors.
+
+    hedge_block(S, twap, rows) gets a block's prices and TWAP fills, and
+    `rows`, its slice of the paths, and returns the block's (cash, q_T,
+    fees); `ladder` counts the columns of any per-path matrix it builds.
+    Path i's draws depend on (seed, i) alone and each step acts
+    elementwise across paths, so every block size gives the same bits. A
+    zero-volume trade raises after the last block, naming the earliest such
+    interval over all paths, as one block would.
+    """
+    m, T = payoff.market, payoff.contract.T
+    n, n_obs = cfg.n_paths, cfg.n_obs
+    dt = T / (n_obs - 1)
+    X, q_T, S_T, fees = (np.empty(n) for _ in range(4))
+    size = min(n, max(1, _BLOCK_BYTES // (8 * (2 * n_obs - 1 + ladder))))
+    # every block is drawn into one buffer: a fresh one per block would
+    # page-fault its memory in again each time, and numpy asks the kernel
+    # for huge pages for a buffer of 4 MiB or more, on which the steps'
+    # strided column reads run faster than on two smaller buffers
+    buf = np.empty(size * (2 * n_obs - 1))
+    first = None
+    for a in range(0, n, size):
+        b = min(a + size, n)
+        S = _price_paths(m, cfg.seed, a, b, n_obs, T,
+                         out=buf[:(b - a) * n_obs].reshape(b - a, n_obs))
+        twap = _twap_matrix(S, m.sigma, dt, cfg.seed, a,
+                            out=buf[-(b - a) * (n_obs - 1):].reshape(b - a, n_obs - 1))
+        try:
+            X[a:b], q_T[a:b], fees[a:b] = hedge_block(S, twap, slice(a, b))
+        except _ZeroVolumeTrade as e:
+            if first is None or e.step < first.step:
+                first = e
+        S_T[a:b] = S[:, -1]
+    if first is not None:
+        raise first
+    return X, q_T, S_T, fees
 
 
 def _stats(strategy: str, M: int, cfg: PathConfig, payoff: PayoffSpec,
@@ -306,16 +380,21 @@ def run_delta_hedge(payoff: PayoffSpec, cfg: PathConfig) -> PnLStats:
         raise ValueError("the benchmark comparison is defined for k = 0")
     M = cfg.M
     dt = c.T / M
-    S = simulate_price_paths(m, replace(cfg, n_obs=M + 1), c.T)
-    delta = bachelier_delta(S[:, :M], c.K, m.sigma, c.T - dt * np.arange(M))
+    tau = c.T - dt * np.arange(M)
 
-    def trade(i, q):
-        # the difference of deltas at t_{i-1} and t_i, worked over [t_i, t_{i+1})
-        return c.N * (delta[:, i] - delta[:, i - 1]) if i else 0.0
+    def hedge_block(S, twap, rows):
+        delta = bachelier_delta(S[:, :M], c.K, m.sigma, tau)
 
-    X, _, exec_paid = _hedge(payoff, S, cfg.seed, c.N * delta[:, 0], trade, per=dt)
-    return _stats("delta", M, cfg, payoff, c.N * delta[:, -1], S[:, -1], X,
-                  exec_paid)
+        def trade(i, q):
+            # the difference of deltas at t_{i-1} and t_i, worked over [t_i, t_{i+1})
+            return c.N * (delta[:, i] - delta[:, i - 1]) if i else 0.0
+
+        X, _, fees = _hedge(payoff, S, twap, c.N * delta[:, 0], trade, per=dt)
+        return X, c.N * delta[:, -1], fees
+
+    X, q_T, S_T, fees = _walk(payoff, replace(cfg, n_obs=M + 1), hedge_block,
+                              ladder=M)
+    return _stats("delta", M, cfg, payoff, q_T, S_T, X, fees)
 
 
 def _check_solution(solution, steps: int):
@@ -340,13 +419,16 @@ def run_policy_hedge(payoff: PayoffSpec, solution, cfg: PathConfig) -> PnLStats:
     steps = cfg.n_obs - 1
     _check_solution(solution, steps)
 
-    S = simulate_price_paths(m, cfg, c.T)
     alive = np.ones(cfg.n_paths, dtype=bool)
-    X, q, exec_paid = _hedge(  # the policy trades in shares per day
-        payoff, S, cfg.seed, np.full(cfg.n_paths, float(c.q0)),
-        lambda i, q: solution.policy_speeds(i, q, S[:, i], alive), per=1.0)
-    return _stats("policy", steps, cfg, payoff, q, S[:, -1], X, exec_paid,
-                  keep=alive)
+
+    def hedge_block(S, twap, rows):
+        live = alive[rows]  # a view: policy_speeds clears exits in `alive`
+        return _hedge(  # the policy trades in shares per day
+            payoff, S, twap, np.full(len(S), float(c.q0)),
+            lambda i, q: solution.policy_speeds(i, q, S[:, i], live), per=1.0)
+
+    X, q_T, S_T, fees = _walk(payoff, cfg, hedge_block)
+    return _stats("policy", steps, cfg, payoff, q_T, S_T, X, fees, keep=alive)
 
 
 def policy_trajectory(payoff: PayoffSpec, solution, S, q0: Optional[float] = None):

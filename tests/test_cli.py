@@ -389,13 +389,14 @@ def test_simulate_csv_shape_and_determinism(tmp_path, capsys):
     assert first == second
 
     lines = first.strip().splitlines()
-    assert lines[0] == "strategy,M,mean_cost,var_cost,exec_cost_mean,n_paths,seed"
+    assert lines[0] == ("strategy,M,mean_cost,var_cost,exec_cost_mean,n_paths,seed,"
+                        "excluded")
     assert lines[-1].startswith(META_PREFIX)
     rows = [ln.split(",") for ln in lines[1:-1]]
     assert [r[0] for r in rows] == ["delta", "delta", "policy"]
     assert [int(r[1]) for r in rows] == [10, 20, 252]
     for r in rows:
-        assert float(r[3]) >= 0.0 and int(r[5]) <= 200
+        assert float(r[3]) >= 0.0 and int(r[5]) + int(r[7]) == 200
 
 
 def test_simulate_seed_flag(tmp_path, capsys):
@@ -404,7 +405,7 @@ def test_simulate_seed_flag(tmp_path, capsys):
     code, other = run(capsys, "simulate", "--config", path, "--seed", "1")
     assert code == 0
     assert other != base
-    assert all(ln.endswith(",1") for ln in other.strip().splitlines()[1:-1])
+    assert all(ln.split(",")[6] == "1" for ln in other.strip().splitlines()[1:-1])
     assert "seed=1" in other.strip().splitlines()[-1]
 
 
@@ -425,7 +426,7 @@ def test_simulate_policy_keeps_explicit_pde_bounds(tmp_path, capsys):
     st = run_policy_hedge(rc.payoff, solve_theta(rc.payoff, grid, rc.scheme), rc.sim)
     assert out.splitlines()[1] == (
         f"{st.strategy},{st.M},{st.mean_cost:.10g},{st.var_cost:.10g},"
-        f"{st.exec_cost_mean:.10g},{st.n},{st.seed}")
+        f"{st.exec_cost_mean:.10g},{st.n},{st.seed},{st.excluded}")
 
 
 def test_simulate_zero_volume_interval_is_numerical_failure(tmp_path, capsys):

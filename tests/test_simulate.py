@@ -4,6 +4,7 @@ runners, and the discrete wealth-decomposition identity."""
 import dataclasses
 import math
 import random
+import tracemalloc
 import types
 import warnings
 
@@ -20,6 +21,7 @@ from liqhedge.model import (
     VolumeCurve,
     bachelier_price,
 )
+from liqhedge import simulate
 from liqhedge.pde import GridSpec, solve_theta
 from liqhedge.simulate import (
     PathConfig,
@@ -94,29 +96,35 @@ SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]),
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=SEEDS, n_paths=st.integers(1, 40), n=st.integers(1, 300),
+@given(seed=SEEDS, start=st.one_of(st.just(0), st.integers(0, 2**32 - 40)),
+       n_paths=st.integers(1, 40), n=st.integers(1, 300),
        stream=st.sampled_from([0, 1]))
-def test_normal_matrix_matches_per_path_generators(seed, n_paths, n, stream):
+def test_normal_matrix_matches_per_path_generators(seed, start, n_paths, n, stream):
     # numpy's own construction, one generator per path, is the reference:
     # a change in numpy's SeedSequence or PCG64 seeding must fail here
     expected = np.array([
         np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((seed, i, stream)))).standard_normal(n)
-        for i in range(n_paths)])
-    got = _normal_matrix(seed, n_paths, n, stream)
+        for i in range(start, start + n_paths)])
+    got = _normal_matrix(seed, start, start + n_paths, n, stream)
     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-def test_normal_matrix_crosses_state_chunks():
-    # 1100 paths take three chunks of Python-int states; rows on both sides
-    # of each chunk boundary must match their own generators
+def test_normal_matrix_blocks_are_rows_of_the_whole():
+    # the paths [a, b) of a block draw rows a..b-1 of the whole matrix, bit
+    # for bit, on uneven blocks down to one path; the whole matches each
+    # path's own generator
     seed, n, stream = 2**33 + 9, 3, 1
+    whole = _normal_matrix(seed, 0, 1100, n, stream)
     expected = np.array([
         np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((seed, i, stream)))).standard_normal(n)
         for i in range(1100)])
-    got = _normal_matrix(seed, 1100, n, stream)
-    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+    np.testing.assert_array_equal(whole.view(np.uint64), expected.view(np.uint64))
+    for a, b in [(0, 1), (1, 513), (513, 1099), (1099, 1100)]:
+        np.testing.assert_array_equal(
+            _normal_matrix(seed, a, b, n, stream).view(np.uint64),
+            whole[a:b].view(np.uint64))
 
 
 def test_state_words_round_trip():
@@ -352,6 +360,126 @@ def test_hedge_statistics_pinned():
     assert run_policy_hedge(pay, surf, cfg) == PnLStats(
         "policy", 4, 12489605.244971642, 22414315611114.11, 608086.0358853298,
         200, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# path blocks
+
+
+def block_problem():
+    """Drift, compounding, psi > 0 and a PDE price hull some paths leave."""
+    contract = OptionContract(K=45.0, T=4.0, N=2e7, gamma=2e-7, q0=1e7)
+    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0,
+                          mu=0.05 / 252, r=0.02 / 252)
+    pay = PayoffSpec(contract, market, ExecutionCost(0.1, 0.75, 0.01))
+    tv = solve_tree(pay, TreeConfig(dt=0.5, alpha=1.5, dq=1e6, q_min=0.0,
+                                    q_max=2e7))
+    surf = solve_theta(pay, GridSpec(S_min=42.5, S_max=47.5, n_S=21, q_min=-2e6,
+                                     q_max=2.2e7, n_q=11, n_t=8))
+    return pay, tv, surf
+
+
+def blocks_of(monkeypatch, rows: int, n_obs: int, ladder: int = 0):
+    """Patch the block budget so that a walk over n_obs points takes `rows`
+    paths a block."""
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", 8 * (2 * n_obs - 1 + ladder) * rows)
+
+
+class BlockSpy:
+    """A solution whose policy reads record, per block of `rows` paths, the
+    steps it trades on and whether a path left the hull."""
+
+    def __init__(self, solution, rows: int):
+        self.solution, self.rows = solution, rows
+        self.t_grid = solution.t_grid
+        self.trades, self.exits = {}, {}
+        self.block = -1
+
+    def policy_speeds(self, level, q, S, alive):
+        if level == 0:
+            self.block += 1
+        v = self.solution.policy_speeds(level, q, S, alive)
+        self.trades[self.block, level] = bool(np.count_nonzero(v))
+        self.exits[self.block] = not alive.all()
+        return v
+
+
+def test_blocks_give_the_one_block_statistics(monkeypatch):
+    # 7 paths a block and a last block of one; the one-block run is the
+    # reference, compared with ==
+    pay, tv, surf = block_problem()
+    rows, n_paths = 7, 7 * 9 + 1
+    cfg = PathConfig(n_paths=n_paths, n_obs=9, seed=3, M=8)
+    whole = {"delta": run_delta_hedge(pay, cfg),
+             "fee-free": run_delta_hedge(fee_free(pay), cfg),
+             "tree": run_policy_hedge(pay, tv, cfg),
+             "pde": run_policy_hedge(pay, surf, cfg)}
+    assert whole["pde"].excluded > 0
+
+    blocks_of(monkeypatch, rows, 9, ladder=8)
+    assert run_delta_hedge(pay, cfg) == whole["delta"]
+    assert run_delta_hedge(fee_free(pay), cfg) == whole["fee-free"]
+    blocks_of(monkeypatch, rows, 9)
+    for name, sol in (("tree", tv), ("pde", surf)):
+        spy = BlockSpy(sol, rows)
+        assert run_policy_hedge(pay, spy, cfg) == whole[name]
+        assert spy.block == n_paths // rows  # the last block holds one path
+        # on some step the run trades but one block has no trading path, so
+        # that block skips the fee its paths would pay as 0.0 in one block
+        assert any(not spy.trades[b, i] and any(spy.trades[c, i] for c in spy.exits)
+                   for b, i in spy.trades)
+    # hull exits fall in some blocks and not in others
+    assert any(spy.exits.values()) and not all(spy.exits.values())
+
+
+def test_zero_volume_error_names_the_earliest_interval_of_all_blocks(monkeypatch):
+    # paths 0-2 trade on the zero-volume [2, 3), paths 3-5 on the earlier
+    # [1, 2): only the second block reaches the interval one block names
+    market = MarketParams(S0=45.0, sigma=0.6, rho_max=5.0,
+                          volume=VolumeCurve([0.0, 1.0, 3.0], [4e6, 0.0, 4e6]))
+    pay = PayoffSpec(OptionContract(K=45.0, T=4.0, N=2e7, gamma=2e-7), market, COST)
+    cfg = PathConfig(n_paths=6, n_obs=5, seed=0)
+
+    def hedge_block(S, twap, rows):
+        late = np.arange(rows.start, rows.stop) >= 3
+
+        def trade(i, q):
+            return np.where(late == (i == 1), 1e5, 0.0) if i in (1, 2) else 0.0
+
+        return simulate._hedge(pay, S, twap, np.zeros(len(S)), trade, per=1.0)
+
+    for rows in (6, 3):
+        blocks_of(monkeypatch, rows, cfg.n_obs)
+        with pytest.raises(ValueError, match=r"zero-volume interval \[1, 2\)"):
+            simulate._walk(pay, cfg, hedge_block)
+
+    # the delta ladder, one path a block, names the interval one block does
+    gap = MarketParams(S0=45.0, sigma=0.6, rho_max=5.0,
+                       volume=VolumeCurve([0.0, 21.0, 42.0], [4e6, 0.0, 4e6]))
+    pay = PayoffSpec(make_payoff().contract, gap, COST)
+    blocks_of(monkeypatch, 1, 4, ladder=3)
+    with pytest.raises(ValueError, match=r"zero-volume interval \[21, 42\)"):
+        run_delta_hedge(pay, PathConfig(n_paths=5, seed=1, M=3))
+
+
+def test_policy_run_holds_a_block_not_the_whole_run():
+    # tracemalloc sees numpy's buffers: 6,000 paths x 253 points would take
+    # 23.2 MiB as whole-run price and TWAP matrices; the walk holds one
+    # block's 8 MiB of them and a few full-length vectors
+    contract = OptionContract(K=45.0, T=2.52, N=2e7, gamma=2e-7, q0=1e7)
+    market = MarketParams(S0=45.0, sigma=0.6, volume=2e7, rho_max=5.0)
+    pay = PayoffSpec(contract, market, COST)
+    tv = solve_tree(pay, TreeConfig(dt=0.01, dq=1e6, q_min=0.0, q_max=2e7))
+    cfg = PathConfig(n_paths=6000, n_obs=253, seed=0)
+    assert 2 * 8 * cfg.n_paths * cfg.n_obs > 2.5 * simulate._BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        st = run_policy_hedge(pay, tv, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert st.n + st.excluded == cfg.n_paths
+    assert peak < 1.5 * simulate._BLOCK_BYTES
 
 
 def test_policy_speeds_read_both_engines():
