@@ -17,8 +17,8 @@ into the generator's own state memory, found through numpy's documented
 each path's generator.
 
 Both runners walk the paths in blocks of about _BLOCK_BYTES (8 MiB) of
-price, TWAP and delta matrices: each block is drawn into the same two
-buffers, hedged, and left behind as its paths' terminal cash, inventory,
+price, TWAP and delta matrices: each block is drawn into one reused
+buffer, hedged, and left behind as its paths' terminal cash, inventory,
 price and fees in full-length vectors. A run's memory therefore does not
 grow with n_paths beyond those vectors. A path's draws depend on (seed, i,
 purpose) alone and every hedging step is elementwise across paths, so the

@@ -386,21 +386,20 @@ def blocks_of(monkeypatch, rows: int, n_obs: int, ladder: int = 0):
 
 
 class BlockSpy:
-    """A solution whose policy reads record, per block of `rows` paths, the
-    steps it trades on and whether a path left the hull."""
+    """A solution whose policy reads record, per block, the steps on which
+    some path of the block trades and whether a path left the hull."""
 
-    def __init__(self, solution, rows: int):
-        self.solution, self.rows = solution, rows
+    def __init__(self, solution):
+        self.solution = solution
         self.t_grid = solution.t_grid
-        self.trades, self.exits = {}, {}
-        self.block = -1
+        self.trades, self.exits = {}, []
 
     def policy_speeds(self, level, q, S, alive):
-        if level == 0:
-            self.block += 1
+        if level == 0:  # a block's first step
+            self.exits.append(False)
         v = self.solution.policy_speeds(level, q, S, alive)
-        self.trades[self.block, level] = bool(np.count_nonzero(v))
-        self.exits[self.block] = not alive.all()
+        self.trades[len(self.exits) - 1, level] = bool(np.count_nonzero(v))
+        self.exits[-1] = not alive.all()
         return v
 
 
@@ -414,22 +413,23 @@ def test_blocks_give_the_one_block_statistics(monkeypatch):
              "fee-free": run_delta_hedge(fee_free(pay), cfg),
              "tree": run_policy_hedge(pay, tv, cfg),
              "pde": run_policy_hedge(pay, surf, cfg)}
-    assert whole["pde"].excluded > 0
 
     blocks_of(monkeypatch, rows, 9, ladder=8)
     assert run_delta_hedge(pay, cfg) == whole["delta"]
     assert run_delta_hedge(fee_free(pay), cfg) == whole["fee-free"]
     blocks_of(monkeypatch, rows, 9)
-    for name, sol in (("tree", tv), ("pde", surf)):
-        spy = BlockSpy(sol, rows)
+    spies = {"tree": BlockSpy(tv), "pde": BlockSpy(surf)}
+    for name, spy in spies.items():
         assert run_policy_hedge(pay, spy, cfg) == whole[name]
-        assert spy.block == n_paths // rows  # the last block holds one path
+        blocks = len(spy.exits)
+        assert blocks == n_paths // rows + 1  # the last block holds one path
         # on some step the run trades but one block has no trading path, so
         # that block skips the fee its paths would pay as 0.0 in one block
-        assert any(not spy.trades[b, i] and any(spy.trades[c, i] for c in spy.exits)
+        assert any(not spy.trades[b, i] and any(spy.trades[c, i] for c in range(blocks))
                    for b, i in spy.trades)
     # hull exits fall in some blocks and not in others
-    assert any(spy.exits.values()) and not all(spy.exits.values())
+    exits = spies["pde"].exits
+    assert whole["pde"].excluded > 0 and any(exits) and not all(exits)
 
 
 def test_zero_volume_error_names_the_earliest_interval_of_all_blocks(monkeypatch):
