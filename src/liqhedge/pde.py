@@ -20,7 +20,8 @@ into three fractional substeps:
     interpolation in q; displacements leaving the grid are excluded. The
     node-aligned rates (whole grid steps) go through `minplus.shift_min`,
     the kernel the tree uses too, each node searched from its shift one
-    step later. The minimizer is stored as the policy v = rho*V.
+    step later. The minimizer's speed v = rho*V is stored as the policy,
+    one integer code per node into a float64 speed table per level.
 
 Every step runs (A), (B), (C) in that order; (A) first smooths the payoff
 discontinuity before the nonlinear substeps see it.
@@ -105,6 +106,53 @@ class SchemeConfig:
             raise ValueError("n_controls must be odd and >= 3 (0 must be a candidate)")
 
 
+class PolicyCodes:
+    """The policy v*(t_n, q_i, S_j) in shares/day, stored as integer codes
+    shaped (n_t+1, n_q, n_S) and one float64 speed table per level, the
+    speed of a node being tables[n][codes[n, i, j]]. Each level's table
+    holds the whole-node shift speeds (2*m_cap+1 of them, most negative
+    first), the grid rates' speeds rho*V, then the closed-form speed of each
+    node the closed-form candidate won, so decoding is exact.
+
+    Reads like the float64 array it encodes: control[n] and control[n, i, j]
+    decode one level or node, np.asarray(control) decodes every level.
+    """
+
+    dtype = np.dtype(float)
+
+    def __init__(self, codes: np.ndarray, tables):
+        self.codes = codes
+        self.tables = tuple(tables)
+        for a in (codes, *self.tables):
+            a.flags.writeable = False
+
+    @property
+    def shape(self):
+        return self.codes.shape
+
+    @property
+    def nbytes(self) -> int:
+        return self.codes.nbytes + sum(t.nbytes for t in self.tables)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, key):
+        n, node = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
+        return self.tables[n].take(self.codes[n][node])
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("decoding the policy makes a copy")
+        out = np.empty(self.shape)
+        for n, table in enumerate(self.tables):
+            table.take(self.codes[n], out=out[n])
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def tobytes(self) -> bytes:
+        return np.asarray(self).tobytes()
+
+
 class ThetaSurface:
     """Solved value/control surfaces on the (t, q, S) grid.
 
@@ -112,18 +160,23 @@ class ThetaSurface:
     level 0 only by default (values shaped (1, n_q, n_S)), every level
     0..n_t with keep_values=True. control[n, i, j] = v*(t_n, q_i, S_j) in
     shares/day at every level (zero at the terminal level, where no
-    decision remains).
+    decision remains), a PolicyCodes: integer codes into a speed table
+    per level, 29 % of the float64 array's size on the default grid.
     """
 
     def __init__(self, payoff, grid: GridSpec, values: np.ndarray,
-                 control: np.ndarray):
+                 control: PolicyCodes):
         self.payoff = payoff
         self.grid = grid
         self.values = values
         self.control = control
         self.t_grid = np.linspace(0.0, payoff.contract.T, grid.n_t + 1)
+        self._dq = (grid.q_max - grid.q_min) / (grid.n_q - 1)
+        self._dS = (grid.S_max - grid.S_min) / (grid.n_S - 1)
+        # flat offsets of a cell's four corners, in the order _interp sums them
+        self._corners = np.array([0, grid.n_S, 1, grid.n_S + 1])
 
-    def _bilinear(self, arr2d: np.ndarray, q, S):
+    def _bilinear(self, level: np.ndarray, q, S, table=None):
         """Point read: raises unless every (q, S) is in the grid hull."""
         g = self.grid
         q = np.asarray(q, dtype=float)
@@ -132,25 +185,26 @@ class ThetaSurface:
         if not (np.all((q >= g.q_min - tol) & (q <= g.q_max + tol))
                 and np.all((S >= g.S_min - tol) & (S <= g.S_max + tol))):
             raise ValueError("query outside the grid hull")
-        out = self._interp(arr2d, q, S)
+        out = self._interp(level, q, S, table)
         return float(out) if out.ndim == 0 else out
 
-    def _interp(self, arr2d: np.ndarray, q, S) -> np.ndarray:
-        """Bilinear interpolation of the level arr2d at (q, S) in the hull."""
+    def _interp(self, level: np.ndarray, q, S, table=None) -> np.ndarray:
+        """Bilinear interpolation of the (n_q, n_S) level at (q, S) in the
+        hull; with `table`, level holds codes into it."""
         g = self.grid
-        dq = (g.q_max - g.q_min) / (g.n_q - 1)
-        dS = (g.S_max - g.S_min) / (g.n_S - 1)
-        x = np.clip((q - g.q_min) / dq, 0, g.n_q - 1)
-        y = np.clip((S - g.S_min) / dS, 0, g.n_S - 1)
+        x = ((q - g.q_min) / self._dq).clip(0, g.n_q - 1)
+        y = ((S - g.S_min) / self._dS).clip(0, g.n_S - 1)
         # fmin sends a NaN to the last cell (its read is NaN), so no NaN is cast
         i = np.fmin(x, g.n_q - 2).astype(int)
         j = np.fmin(y, g.n_S - 2).astype(int)
         fx, fy = x - i, y - j
         gx, gy = 1 - fx, 1 - fy
-        flat = arr2d.ravel()  # a view: a level of the C-ordered surface
-        k = i * g.n_S + j
-        return (gx * gy * flat.take(k) + fx * gy * flat.take(k + g.n_S)
-                + gx * fy * flat.take(k + 1) + fx * fy * flat.take(k + g.n_S + 1))
+        # the four corners in one take; level.ravel() is a view of a level
+        # of the C-ordered surface
+        v = level.ravel().take(np.add.outer(self._corners, i * g.n_S + j))
+        if table is not None:
+            v = table.take(v)
+        return gx * gy * v[0] + fx * gy * v[1] + gx * fy * v[2] + fx * fy * v[3]
 
     def price(self, t: float, q, S):
         """Bilinear interpolation of theta at (t, q, S); t must be a level
@@ -160,15 +214,17 @@ class ThetaSurface:
 
     def policy(self, t: float, q, S):
         """Interpolated optimal trading speed (shares/day) at (t, q, S)."""
-        return self._bilinear(self.control[_level_of(self.t_grid, t)], q, S)
+        n = _level_of(self.t_grid, t)
+        return self._bilinear(self.control.codes[n], q, S, self.control.tables[n])
 
     def policy_speeds(self, level: int, q, S, alive):
         """Speeds (shares/day) at each path's (q, S), clipped to the grid, on
         time level `level`; clears `alive` where (q, S) is off the grid or NaN."""
         g = self.grid
-        q_in, S_in = np.clip(q, g.q_min, g.q_max), np.clip(S, g.S_min, g.S_max)
+        q_in, S_in = q.clip(g.q_min, g.q_max), S.clip(g.S_min, g.S_max)
         alive &= (q_in == q) & (S_in == S)  # NaN != NaN, so a NaN is outside
-        return self._interp(self.control[level], q_in, S_in)
+        return self._interp(self.control.codes[level], q_in, S_in,
+                            self.control.tables[level])
 
 
 def _build_banded_A(grid: GridSpec, market, dt: float) -> np.ndarray:
@@ -237,15 +293,17 @@ def _step_B(theta: np.ndarray, qcol: np.ndarray, dS: float, coef: float,
 
 
 def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
-            V: float, dt: float, rates: np.ndarray, guess):
+            V: float, dt: float, rates: np.ndarray, guess, code: np.ndarray):
     """Semi-Lagrangian trading substep over the nonzero control `rates`
-    (|rho| ascending, negative first); returns (new theta, control v, the
-    node-aligned shifts or None). `guess`, the node-aligned shifts of the
-    step after (or None), starts `shift_min`'s search."""
+    (|rho| ascending, negative first); returns (new theta, the level's speed
+    table, the node-aligned shifts or None) and writes each node's index into
+    that table to `code`. `guess`, the node-aligned shifts of the step after
+    (or None), starts `shift_min`'s search."""
     nq = theta.shape[0]
     dq = qgrid[1] - qgrid[0]
     if rho_max <= 0 or V <= 0:
-        return theta.copy(), np.zeros_like(theta), None
+        code.fill(0)
+        return theta.copy(), np.zeros(1), None
 
     # node-aligned candidates: every destination reachable within the
     # participation cap, exact (no interpolation); without these the min
@@ -254,10 +312,11 @@ def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
     ladder = trade_ladder(cost, rho_max, V, dt, dq, nq)
     m_cap = len(ladder)
     best, shift = shift_min(theta, [V * rate * dt for rate in ladder], guess)
-    speeds = np.arange(-m_cap, m_cap + 1) * dq / (V * dt) * V
-    vstar = speeds[shift + m_cap]
+    code[...] = shift
+    code += m_cap  # shift w is code w + m_cap, rate r code 2*m_cap + 1 + r
+    table = [np.arange(-m_cap, m_cap + 1) * dq / (V * dt) * V, rates * V]
 
-    for rho in rates:
+    for r, rho in enumerate(rates, 2 * m_cap + 1):
         run_cost = V * cost(rho) * dt
         s = rho * V * dt / dq
         w = math.floor(s)
@@ -270,7 +329,7 @@ def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
             continue
         cand = run_cost + (1.0 - f) * theta[lo + w: hi + w] \
             + f * theta[lo + w + 1: hi + w + 1]
-        take_cheaper(cand, best[lo:hi], vstar[lo:hi], rho * V)
+        take_cheaper(cand, best[lo:hi], code[lo:hi], r)
 
     # closed-form candidate from the local slope; when its displacement
     # overshoots the grid the destination is clamped to the edge node, which
@@ -286,8 +345,13 @@ def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
     fr = x - i0
     j = np.broadcast_to(np.arange(theta.shape[1]), theta.shape)
     cand = V * cost(rho_used) * dt + (1 - fr) * theta[i0, j] + fr * theta[i0 + 1, j]
-    take_cheaper(cand, best, vstar, rho_used * V)
-    return best, vstar, shift
+    # take_cheaper with one new code per winning node, its speed appended
+    won = cand < best
+    np.minimum(cand, best, out=best)
+    first = 2 * m_cap + 1 + rates.size
+    code[won] = np.arange(first, first + np.count_nonzero(won))
+    table.append(rho_used[won] * V)
+    return best, np.concatenate(table), shift
 
 
 def solve_theta(payoff, grid: Optional[GridSpec] = None,
@@ -312,7 +376,15 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
     qcol = qgrid[:, None]
 
     values = np.empty((grid.n_t + 1 if keep_values else 1, nq, nS))
-    control = np.zeros((grid.n_t + 1, nq, nS))
+    rates = np.linspace(-m.rho_max, m.rho_max, scheme.n_controls)
+    rates = rates[np.lexsort((rates > 0, np.abs(rates)))]  # |rho| asc, neg first
+    rates = rates[rates != 0.0]
+    # a level's table has at most 2*(n_q-1)+1 shift speeds (m_cap <= n_q-1),
+    # the rates' speeds and one closed-form speed per node
+    n_codes = 2 * (nq - 1) + 1 + rates.size + nq * nS
+    codes = np.zeros((grid.n_t + 1, nq, nS),
+                     dtype=np.int16 if n_codes <= 1 << 15 else np.int32)
+    tables = [None] * grid.n_t + [np.zeros(1)]  # no trade at the terminal level
     theta = np.asarray(payoff.terminal(qcol, Sgrid[None, :]), dtype=float)
     _require_finite_values(theta, lambda ij: "terminal value at "
                            f"q={qgrid[ij[0]]:.6g}, S={Sgrid[ij[1]]:.6g}")
@@ -320,9 +392,6 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
         values[grid.n_t] = theta
 
     ab = _build_banded_A(grid, m, dt)
-    rates = np.linspace(-m.rho_max, m.rho_max, scheme.n_controls)
-    rates = rates[np.lexsort((rates > 0, np.abs(rates)))]  # |rho| asc, neg first
-    rates = rates[rates != 0.0]
     # q-dependent source of the linear substep: -dt*(mu - r*S)*q
     if m.mu != 0.0 or m.r != 0.0:
         source = -dt * (m.mu - m.r * Sgrid[None, :]) * qcol
@@ -343,12 +412,11 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
 
         theta = finite(_step_A(theta, ab, source), "A", n)
         theta = finite(_step_B(theta, qcol, dS, coef, dt), "B", n)
-        theta, vstar, shift = _step_C(theta, qgrid, payoff.cost, m.rho_max, V, dt,
-                                      rates, shift)
+        theta, tables[n], shift = _step_C(theta, qgrid, payoff.cost, m.rho_max, V,
+                                          dt, rates, shift, codes[n])
         finite(theta, "C", n)
         if keep_values or n == 0:
             values[n] = theta
-        control[n] = vstar
 
-    return ThetaSurface(payoff, grid, values, control)
+    return ThetaSurface(payoff, grid, values, PolicyCodes(codes, tables))
 

@@ -82,16 +82,16 @@ class TreeValue:
         self.control_mult = control_mult
         self.t_grid = t_grid
         self.J = len(t_grid) - 1
-
-    @property
-    def dq(self) -> float:
-        return float(self.qgrid[1] - self.qgrid[0]) if self.qgrid.size > 1 else 0.0
+        self.dq = float(qgrid[1] - qgrid[0]) if qgrid.size > 1 else 0.0
+        # lattice: node p of level j, |p| <= j, is at S0 + drift*j + step*p
+        m = payoff.market
+        self._drift = m.mu * config.dt
+        self._step = m.sigma * math.sqrt(config.dt) * config.alpha
 
     def node_prices(self, j: int) -> np.ndarray:
         """Underlying values at level j (2j+1 nodes, ascending)."""
-        m = self.payoff.market
-        drift, step = _lattice(m, self.config)
-        return m.S0 + drift * j + step * np.arange(-j, j + 1)
+        S0 = self.payoff.market.S0
+        return S0 + self._drift * j + self._step * np.arange(-j, j + 1)
 
     def q_index(self, q: float) -> int:
         i = int(np.argmin(np.abs(self.qgrid - q)))
@@ -103,9 +103,8 @@ class TreeValue:
     def node_index(self, j: int, S, strict: bool = True):
         """Level-j node whose price is S (strict) or nearest to S, with S
         clipped to the level's range, NaN to the bottom; S may be an array."""
-        m = self.payoff.market
-        drift, step = _lattice(m, self.config)
-        p = (np.asarray(S, dtype=float) - (m.S0 + drift * j)) / step
+        p = ((np.asarray(S, dtype=float) - (self.payoff.market.S0 + self._drift * j))
+             / self._step)
         p_int = np.rint(p)
         if strict and not (np.all(np.isfinite(p))
                            and np.all(np.abs(p - p_int) <= 1e-6)):
@@ -141,12 +140,6 @@ class TreeValue:
         qi = np.fmin(np.fmax(np.rint((q - qg[0]) / (self.dq or 1.0)), 0),
                      qg.size - 1).astype(int)
         return self.control_mult[j][node, qi] * (self.dq / self.config.dt)
-
-
-def _lattice(market, config: TreeConfig):
-    """Drift per level and node spacing: node p of level j, |p| <= j, is
-    at S0 + drift*j + step*p."""
-    return market.mu * config.dt, market.sigma * math.sqrt(config.dt) * config.alpha
 
 
 def _default_qgrid(payoff, config: TreeConfig):
@@ -216,7 +209,7 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = Fa
         tv.q_index(c.q0)
 
     gamma = c.gamma
-    drift, step = _lattice(m, config)
+    drift, step = tv._drift, tv._step
     with _overflow_of("alpha"):
         p_edge = 1.0 / (2.0 * alpha**2)
         p_mid = 1.0 - 1.0 / alpha**2

@@ -206,6 +206,50 @@ def test_lean_surface_refuses_later_levels(lean_and_full_surface):
 
 
 # ---------------------------------------------------------------------------
+# the stored policy: integer codes into a speed table per level
+# ---------------------------------------------------------------------------
+
+def test_policy_codes_store_at_most_30_percent_of_float64(reference_surface):
+    g = reference_surface.grid
+    control = reference_surface.control
+    assert control.codes.dtype == np.int16
+    assert control.nbytes <= 0.3 * 8 * (g.n_t + 1) * g.n_q * g.n_S
+
+
+def test_decoded_control_matches_dense_array(lean_and_full_surface):
+    control = lean_and_full_surface[0].control
+    dense = np.asarray(control)
+    assert dense.shape == control.shape and dense.dtype == control.dtype == float
+    assert len(control) == len(dense)
+    for n in range(len(control)):
+        level = control.tables[n][control.codes[n]]
+        assert level.tobytes() == control[n].tobytes() == dense[n].tobytes()
+        assert control[n, 3, 7] == dense[n, 3, 7]
+    assert control[-1].tobytes() == dense[-1].tobytes()
+    assert control.tobytes() == dense.tobytes()
+    with pytest.raises(ValueError):
+        control.codes[0, 0, 0] = 0  # the store is read-only
+
+
+def test_codes_widen_past_the_int16_worst_case():
+    # a level's table holds at most 2*(n_q-1)+1 shift speeds, the 40 nonzero
+    # rates' speeds and one closed-form speed per node: 32,764 codes on
+    # 11 x 2973 nodes, 32,775 on 11 x 2974, one more than int16 holds
+    pay = reference_payoff(T=1.0)
+    assert solve_theta(pay, small_grid(pay, n_S=2973, n_q=11, n_t=1)
+                       ).control.codes.dtype == np.int16
+    surf = solve_theta(pay, small_grid(pay, n_S=2974, n_q=11, n_t=1))
+    assert surf.control.codes.dtype == np.int32
+    g = surf.grid
+    q = np.linspace(g.q_min, g.q_max, 41)
+    S = np.linspace(g.S_min, g.S_max, 41)[::-1]
+    alive = np.ones(q.size, dtype=bool)
+    speeds = surf.policy_speeds(0, q, S, alive)
+    assert alive.all() and np.any(speeds != 0.0)
+    assert speeds.tobytes() == surf.policy(0.0, q, S).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
