@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import PayoffSpec
-from .pde import GridSpec, SchemeConfig, solve_theta
+from .pde import SchemeConfig, solve_theta
 from .tree import TreeConfig, solve_tree
 
 __all__ = ["ImpactSolution", "solve_with_impact"]
@@ -26,10 +26,11 @@ class ImpactSolution:
 
 
 def solve_with_impact(payoff: PayoffSpec, engine: str = "pde",
-                      grid: Optional[GridSpec] = None,
+                      grid=None,
                       scheme: Optional[SchemeConfig] = None,
                       config: Optional[TreeConfig] = None) -> ImpactSolution:
-    """Solve the problem with the chosen engine, for any k >= 0.
+    """Solve the problem with the chosen engine, for any k >= 0; `grid`, a
+    pde.GridSpec, goes to solve_theta as given (None takes its default).
 
     At t = 0 the shifted and observed prices coincide (S_tilde0 = S0), so
     the returned price is theta(0, q0, S0) read off the solved object.
@@ -37,8 +38,7 @@ def solve_with_impact(payoff: PayoffSpec, engine: str = "pde",
     if engine not in ("pde", "tree"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "pde":
-        sol = solve_theta(payoff, grid if grid is not None else GridSpec.default(payoff),
-                          scheme if scheme is not None else SchemeConfig())
+        sol = solve_theta(payoff, grid, scheme if scheme is not None else SchemeConfig())
     else:
         sol = solve_tree(payoff, config if config is not None else TreeConfig())
     return ImpactSolution(sol, sol.price(0.0, payoff.contract.q0, payoff.market.S0))

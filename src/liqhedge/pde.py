@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -114,11 +115,9 @@ class PolicyCodes:
     first), the grid rates' speeds rho*V, then the closed-form speed of each
     node the closed-form candidate won, so decoding is exact.
 
-    Reads like the float64 array it encodes: control[n] and control[n, i, j]
-    decode one level or node, np.asarray(control) decodes every level.
+    control[n] decodes level n to a float64 (n_q, n_S) array;
+    control.take(n, index) decodes level n at flat node indices.
     """
-
-    dtype = np.dtype(float)
 
     def __init__(self, codes: np.ndarray, tables):
         self.codes = codes
@@ -127,30 +126,15 @@ class PolicyCodes:
             a.flags.writeable = False
 
     @property
-    def shape(self):
-        return self.codes.shape
-
-    @property
     def nbytes(self) -> int:
         return self.codes.nbytes + sum(t.nbytes for t in self.tables)
 
-    def __len__(self) -> int:
-        return len(self.codes)
+    def __getitem__(self, n) -> np.ndarray:
+        return self.tables[n].take(self.codes[n])
 
-    def __getitem__(self, key):
-        n, node = (key[0], key[1:]) if isinstance(key, tuple) else (key, ())
-        return self.tables[n].take(self.codes[n][node])
-
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("decoding the policy makes a copy")
-        out = np.empty(self.shape)
-        for n, table in enumerate(self.tables):
-            table.take(self.codes[n], out=out[n])
-        return out if dtype is None else out.astype(dtype, copy=False)
-
-    def tobytes(self) -> bytes:
-        return np.asarray(self).tobytes()
+    def take(self, n, index) -> np.ndarray:
+        """Level n's speeds at the flat node indices `index`."""
+        return self.tables[n].take(self.codes[n].ravel().take(index))
 
 
 class ThetaSurface:
@@ -158,7 +142,7 @@ class ThetaSurface:
 
     values[n, i, j] = theta(t_n, q_i, S_j) for the levels the solve kept:
     level 0 only by default (values shaped (1, n_q, n_S)), every level
-    0..n_t with keep_values=True. control[n, i, j] = v*(t_n, q_i, S_j) in
+    0..n_t with keep_values=True. control[n][i, j] = v*(t_n, q_i, S_j) in
     shares/day at every level (zero at the terminal level, where no
     decision remains), a PolicyCodes: integer codes into a speed table
     per level, 29 % of the float64 array's size on the default grid.
@@ -176,7 +160,7 @@ class ThetaSurface:
         # flat offsets of a cell's four corners, in the order _interp sums them
         self._corners = np.array([0, grid.n_S, 1, grid.n_S + 1])
 
-    def _bilinear(self, level: np.ndarray, q, S, table=None):
+    def _bilinear(self, read, q, S):
         """Point read: raises unless every (q, S) is in the grid hull."""
         g = self.grid
         q = np.asarray(q, dtype=float)
@@ -185,12 +169,12 @@ class ThetaSurface:
         if not (np.all((q >= g.q_min - tol) & (q <= g.q_max + tol))
                 and np.all((S >= g.S_min - tol) & (S <= g.S_max + tol))):
             raise ValueError("query outside the grid hull")
-        out = self._interp(level, q, S, table)
+        out = self._interp(read, q, S)
         return float(out) if out.ndim == 0 else out
 
-    def _interp(self, level: np.ndarray, q, S, table=None) -> np.ndarray:
-        """Bilinear interpolation of the (n_q, n_S) level at (q, S) in the
-        hull; with `table`, level holds codes into it."""
+    def _interp(self, read, q, S) -> np.ndarray:
+        """Bilinear interpolation at (q, S) in the hull of the (n_q, n_S)
+        level whose values at flat node indices `read` returns."""
         g = self.grid
         x = ((q - g.q_min) / self._dq).clip(0, g.n_q - 1)
         y = ((S - g.S_min) / self._dS).clip(0, g.n_S - 1)
@@ -199,23 +183,20 @@ class ThetaSurface:
         j = np.fmin(y, g.n_S - 2).astype(int)
         fx, fy = x - i, y - j
         gx, gy = 1 - fx, 1 - fy
-        # the four corners in one take; level.ravel() is a view of a level
-        # of the C-ordered surface
-        v = level.ravel().take(np.add.outer(self._corners, i * g.n_S + j))
-        if table is not None:
-            v = table.take(v)
+        v = read(np.add.outer(self._corners, i * g.n_S + j))  # the four corners
         return gx * gy * v[0] + fx * gy * v[1] + gx * fy * v[2] + fx * fy * v[3]
 
     def price(self, t: float, q, S):
         """Bilinear interpolation of theta at (t, q, S); t must be a level
         the solve kept (t = 0 only, unless solved with keep_values=True)."""
         n = _level_of(self.t_grid, t, len(self.values))
-        return self._bilinear(self.values[n], q, S)
+        # ravel() is a view of a level of the C-ordered surface
+        return self._bilinear(self.values[n].ravel().take, q, S)
 
     def policy(self, t: float, q, S):
         """Interpolated optimal trading speed (shares/day) at (t, q, S)."""
         n = _level_of(self.t_grid, t)
-        return self._bilinear(self.control.codes[n], q, S, self.control.tables[n])
+        return self._bilinear(partial(self.control.take, n), q, S)
 
     def policy_speeds(self, level: int, q, S, alive):
         """Speeds (shares/day) at each path's (q, S), clipped to the grid, on
@@ -223,8 +204,7 @@ class ThetaSurface:
         g = self.grid
         q_in, S_in = q.clip(g.q_min, g.q_max), S.clip(g.S_min, g.S_max)
         alive &= (q_in == q) & (S_in == S)  # NaN != NaN, so a NaN is outside
-        return self._interp(self.control.codes[level], q_in, S_in,
-                            self.control.tables[level])
+        return self._interp(partial(self.control.take, level), q_in, S_in)
 
 
 def _build_banded_A(grid: GridSpec, market, dt: float) -> np.ndarray:

@@ -127,7 +127,7 @@ def test_point_reads_share_one_interface(engine):
         sol = solve_theta(pay, grid, keep_values=True)
         q_axis, rtol = grid.q, 1e-12  # bilinear weights at a node are 1 +- ulp
         points = [(sol.t_grid[n], grid.q[i], grid.S[k], sol.values[n, i, k],
-                   sol.control[n, i, k])
+                   sol.control[n][i, k])
                   for n in (0, 3, grid.n_t) for k in (0, 10, 20) for i in (0, 5, 10)]
     for t, q, S, price, policy in points:
         np.testing.assert_allclose(sol.price(t, q, S), price, rtol=rtol)

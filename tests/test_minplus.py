@@ -200,7 +200,8 @@ def solve_both(pay):
     tv = solve_tree(pay, TreeConfig(dt=1.0), keep_values=True)
     surf = solve_theta(pay, GridSpec.default(pay, n_S=61, n_q=31, steps_per_day=2),
                        keep_values=True)
-    return [*tv.theta, *tv.control_mult, surf.values, surf.control]
+    return [*tv.theta, *tv.control_mult, surf.values, surf.control.codes,
+            *surf.control.tables]
 
 
 def scanned_columns(monkeypatch):

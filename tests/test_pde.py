@@ -191,8 +191,10 @@ def test_lean_solve_matches_full_solve_bit_for_bit(lean_and_full_surface):
     assert lean.values.shape == (1, g.n_q, g.n_S)
     assert full.values.shape == (g.n_t + 1, g.n_q, g.n_S)
     assert lean.values[0].tobytes() == full.values[0].tobytes()
-    assert lean.control.shape == full.control.shape
-    assert lean.control.tobytes() == full.control.tobytes()
+    assert lean.control.codes.tobytes() == full.control.codes.tobytes()
+    assert len(lean.control.tables) == len(full.control.tables) == g.n_t + 1
+    for a, b in zip(lean.control.tables, full.control.tables):
+        assert a.tobytes() == b.tobytes()
     assert lean.price(0.0, 1e7, 45.0) == full.price(0.0, 1e7, 45.0)
 
 
@@ -216,19 +218,19 @@ def test_policy_codes_store_at_most_30_percent_of_float64(reference_surface):
     assert control.nbytes <= 0.3 * 8 * (g.n_t + 1) * g.n_q * g.n_S
 
 
-def test_decoded_control_matches_dense_array(lean_and_full_surface):
+def test_policy_codes_decode_by_level_and_by_node(lean_and_full_surface):
     control = lean_and_full_surface[0].control
-    dense = np.asarray(control)
-    assert dense.shape == control.shape and dense.dtype == control.dtype == float
-    assert len(control) == len(dense)
-    for n in range(len(control)):
+    rng = np.random.default_rng(0)
+    for n in range(len(control.tables)):
         level = control.tables[n][control.codes[n]]
-        assert level.tobytes() == control[n].tobytes() == dense[n].tobytes()
-        assert control[n, 3, 7] == dense[n, 3, 7]
-    assert control[-1].tobytes() == dense[-1].tobytes()
-    assert control.tobytes() == dense.tobytes()
+        assert level.tobytes() == control[n].tobytes()
+        idx = rng.integers(0, level.size, size=(4, 50))
+        assert control.take(n, idx).tobytes() == control[n].ravel()[idx].tobytes()
+    assert control[-1].tobytes() == control[len(control.tables) - 1].tobytes()
     with pytest.raises(ValueError):
         control.codes[0, 0, 0] = 0  # the store is read-only
+    with pytest.raises(ValueError):
+        control.tables[0][0] = 1.0
 
 
 def test_codes_widen_past_the_int16_worst_case():
@@ -247,6 +249,8 @@ def test_codes_widen_past_the_int16_worst_case():
     speeds = surf.policy_speeds(0, q, S, alive)
     assert alive.all() and np.any(speeds != 0.0)
     assert speeds.tobytes() == surf.policy(0.0, q, S).tobytes()
+    idx = np.arange(0, g.n_q * g.n_S, 97)
+    assert surf.control.take(0, idx).tobytes() == surf.control[0].ravel()[idx].tobytes()
 
 
 # ---------------------------------------------------------------------------
