@@ -10,11 +10,10 @@ recovered along paths as S = S_tilde + k(q - q0) by
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .model import PayoffSpec
-from .pde import SchemeConfig, solve_theta
-from .tree import TreeConfig, solve_tree
+from .pde import solve_theta
+from .tree import solve_tree
 
 __all__ = ["ImpactSolution", "solve_with_impact"]
 
@@ -25,12 +24,11 @@ class ImpactSolution:
     price: float
 
 
-def solve_with_impact(payoff: PayoffSpec, engine: str = "pde",
-                      grid=None,
-                      scheme: Optional[SchemeConfig] = None,
-                      config: Optional[TreeConfig] = None) -> ImpactSolution:
-    """Solve the problem with the chosen engine, for any k >= 0; `grid`, a
-    pde.GridSpec, goes to solve_theta as given (None takes its default).
+def solve_with_impact(payoff: PayoffSpec, engine: str = "pde", grid=None,
+                      scheme=None, config=None) -> ImpactSolution:
+    """Solve the problem with the chosen engine, for any k >= 0. `grid` and
+    `scheme` (pde.GridSpec, pde.SchemeConfig) go to solve_theta and `config`
+    (tree.TreeConfig) to solve_tree as given; None takes the solver's default.
 
     At t = 0 the shifted and observed prices coincide (S_tilde0 = S0), so
     the returned price is theta(0, q0, S0) read off the solved object.
@@ -38,7 +36,7 @@ def solve_with_impact(payoff: PayoffSpec, engine: str = "pde",
     if engine not in ("pde", "tree"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "pde":
-        sol = solve_theta(payoff, grid, scheme if scheme is not None else SchemeConfig())
+        sol = solve_theta(payoff, grid, scheme)
     else:
-        sol = solve_tree(payoff, config if config is not None else TreeConfig())
+        sol = solve_tree(payoff, config)
     return ImpactSolution(sol, sol.price(0.0, payoff.contract.q0, payoff.market.S0))

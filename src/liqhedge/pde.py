@@ -335,7 +335,7 @@ def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
 
 
 def solve_theta(payoff, grid: Optional[GridSpec] = None,
-                scheme: SchemeConfig = SchemeConfig(),
+                scheme: Optional[SchemeConfig] = None,
                 keep_values: bool = False) -> ThetaSurface:
     """Solve the splitting scheme backward from Pi; returns a ThetaSurface.
 
@@ -349,6 +349,7 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
     c, m = payoff.contract, payoff.market
     if grid is None:
         grid = GridSpec.default(payoff)
+    scheme = SchemeConfig() if scheme is None else scheme
     qgrid, Sgrid = grid.q, grid.S
     nq, nS = grid.n_q, grid.n_S
     dt = c.T / grid.n_t

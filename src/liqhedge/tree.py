@@ -67,11 +67,11 @@ class TreeValue:
     """Backward-induction output: value levels and every control level.
 
     theta holds the value levels the solve kept: [theta_0] by default,
-    every level 0..J with keep_values=True. theta[j] has shape (2j+1, n_q)
-    and is a transposed view of the solver's inventory-major (n_q, 2j+1)
-    C-contiguous level array (no copy is made). control_mult[j], for every
-    decision level j < J, is laid out the same way and holds the optimal
-    trade in units of dq (int), so v = control_mult * dq / dt shares/day.
+    every level 0..J with keep_values=True. theta[j] is the solver's own
+    C-contiguous (n_q, 2j+1) array, read [i, p] like the PDE's values[n].
+    control_mult[j], for every decision level j < J, is laid out the same
+    way and holds the optimal trade in units of dq (int), so
+    v = control_mult * (dq / dt) shares/day.
     """
 
     def __init__(self, payoff, config, qgrid, theta, control_mult, t_grid):
@@ -93,12 +93,17 @@ class TreeValue:
         S0 = self.payoff.market.S0
         return S0 + self._drift * j + self._step * np.arange(-j, j + 1)
 
+    def _q_nearest(self, q):
+        # nearest grid index to q, clipped; a one-node grid (dq = 0) reads node 0
+        return np.fmin(np.fmax(np.rint((q - self.qgrid[0]) / (self.dq or 1.0)), 0),
+                       self.qgrid.size - 1).astype(int)
+
     def q_index(self, q: float) -> int:
-        i = int(np.argmin(np.abs(self.qgrid - q)))
-        if not (math.isfinite(q)
-                and abs(self.qgrid[i] - q) <= 1e-6 * max(1.0, abs(q)) + 1e-9):
-            raise ValueError(f"q={q} is not on the inventory grid")
-        return i
+        if math.isfinite(q):
+            i = int(self._q_nearest(q))
+            if abs(self.qgrid[i] - q) <= 1e-6 * max(1.0, abs(q)) + 1e-9:
+                return i
+        raise ValueError(f"q={q} is not on the inventory grid")
 
     def node_index(self, j: int, S, strict: bool = True):
         """Level-j node whose price is S (strict) or nearest to S, with S
@@ -116,7 +121,7 @@ class TreeValue:
         t must be a level the solve kept (t = 0 only, unless solved with
         keep_values=True)."""
         j = _level_of(self.t_grid, t, len(self.theta))
-        return float(self.theta[j][self.node_index(j, S), self.q_index(q)])
+        return float(self.theta[j][self.q_index(q), self.node_index(j, S)])
 
     def policy(self, t: float, q: float, S: float) -> float:
         """Optimal trading speed (shares/day) at time level t < T, inventory
@@ -124,8 +129,8 @@ class TreeValue:
         j = _level_of(self.t_grid, t)
         if j == self.J:
             raise ValueError(f"t={t}: the tree holds no policy at t = T")
-        mult = self.control_mult[j][self.node_index(j, S), self.q_index(q)]
-        return float(mult) * self.dq / self.config.dt
+        mult = self.control_mult[j][self.q_index(q), self.node_index(j, S)]
+        return float(mult * (self.dq / self.config.dt))
 
     def policy_speeds(self, level: int, q, S, alive):
         """Speeds (shares/day) at the nodes of level min(level, J-1) nearest
@@ -136,10 +141,7 @@ class TreeValue:
         alive &= ((q >= qg[0] - 0.5 * self.dq) & (q <= qg[-1] + 0.5 * self.dq)
                   & ~np.isnan(S))
         node = self.node_index(j, S, strict=False)
-        # a one-node grid has dq = 0; any finite step then reads node 0
-        qi = np.fmin(np.fmax(np.rint((q - qg[0]) / (self.dq or 1.0)), 0),
-                     qg.size - 1).astype(int)
-        return self.control_mult[j][node, qi] * (self.dq / self.config.dt)
+        return self.control_mult[j][self._q_nearest(q), node] * (self.dq / self.config.dt)
 
 
 def _default_qgrid(payoff, config: TreeConfig):
@@ -175,7 +177,7 @@ def n_steps(T: float, dt: float) -> int:
     return J
 
 
-def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = False):
+def solve_tree(payoff, config: Optional[TreeConfig] = None, keep_values: bool = False):
     """Run the backward induction; returns a TreeValue.
 
     The TreeValue holds the control at every decision level and the value
@@ -188,6 +190,7 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = Fa
     on which the problem is the k = 0 one with the impacted terminal.
     """
     c, m = payoff.contract, payoff.market
+    config = TreeConfig() if config is None else config
     dt, alpha = config.dt, config.alpha
     J = n_steps(c.T, dt)
 
@@ -216,14 +219,12 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = Fa
     with _overflow_of("r"):
         growth = math.expm1(m.r * dt)  # e^{r dt} - 1
 
-    # levels are computed inventory-major, (n_q, nodes) C-contiguous, so the
-    # min-plus sweep's shifted slices are contiguous; theta[j] and ctrl[j]
-    # are their transposed (nodes, n_q) views
+    # levels are (n_q, nodes) C-contiguous, so an inventory shift is a contiguous slice
     nxt = np.asarray(payoff.terminal(qgrid[:, None], tv.node_prices(J)[None, :]),
                      dtype=float)
     _require_finite_values(nxt.T, lambda node: f"terminal value at node {node}")
     if keep_values:
-        theta[J] = nxt.T
+        theta[J] = nxt
 
     d_up, d_mid, d_dn = drift + step, drift, drift - step
     bmult = None
@@ -255,10 +256,10 @@ def solve_tree(payoff, config: TreeConfig = TreeConfig(), keep_values: bool = Fa
         if growth != 0.0:
             best = best + g * growth * (qgrid[:, None] * tv.node_prices(j)[None, :])
         nxt = (disc / gamma) * best
-        ctrl[j] = bmult.T
+        ctrl[j] = bmult
         _require_finite_values(nxt.T, lambda node: f"value at level {j}, node {node}")
         if keep_values or j == 0:
-            theta[j] = nxt.T
+            theta[j] = nxt
 
     return tv
 

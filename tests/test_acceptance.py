@@ -181,7 +181,7 @@ def test_price_dominates_frictionless_bound(reference_surface, reference_tree):
     assert (reference_surface.values[0] / N >= floor[None, :]).all()
 
     dS_tree = reference_tree.config.alpha * 0.6 * math.sqrt(reference_tree.config.dt)
-    root = reference_tree.theta[0][0, :] / N
+    root = reference_tree.theta[0][:, 0] / N
     assert (root >= bachelier_price(45.0, 45.0, 0.6, 63.0) - 2.0 * dS_tree).all()
 
 
@@ -193,7 +193,7 @@ def test_value_convex_in_inventory_both_engines(reference_surface, reference_tre
 
     tol_tree = -1e-6 * max(np.abs(th).max() for th in reference_tree.theta)
     for th in reference_tree.theta:
-        d2 = th[:, 2:] - 2.0 * th[:, 1:-1] + th[:, :-2]
+        d2 = th[2:, :] - 2.0 * th[1:-1, :] + th[:-2, :]
         assert d2.min() >= tol_tree
 
 
@@ -220,7 +220,7 @@ def test_frozen_inventory_closed_forms():
     per_step = np.log(p_edge * (np.exp(a) + np.exp(-a)) + (1 - 1 / cfg.alpha**2))
     for j in range(tv.J + 1):
         expect = (tv.J - j) * per_step / gamma
-        got = tv.theta[j][tv.theta[j].shape[0] // 2, :]
+        got = tv.theta[j][:, j]  # the middle node
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-9)
 
 

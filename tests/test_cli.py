@@ -584,17 +584,34 @@ FUZZ_BASE = {
     "simulation": {"n_paths": 40, "n_obs": 5, "seed": 1, "M": [2, 4],
                    "strategies": ["delta", "policy"]},
 }
+# hedge paths with FUZZ_BASE's step counts, so that a mutation reaches the
+# policy reads: four one-day tree steps and eight half-day PDE steps
+FUZZ_PATHS = {
+    "tree_path.csv": "t,S\n" + "".join(f"{i},{44.0 + 0.5 * i}\n" for i in range(5)),
+    "pde_path.csv": "t,S\n" + "".join(f"{i / 2},{44.0 + 0.25 * i}\n" for i in range(9)),
+}
 FUZZ_COMMANDS = (
     ("price",), ("price", "--engine", "tree"),
     ("simulate",), ("simulate", "--engine", "tree"),
+    ("hedge", "--path", "pde_path.csv"),
+    ("hedge", "--engine", "tree", "--path", "tree_path.csv"),
     ("sweep", "--param", "k", "--values", "0,1e-7"),
 )
+
+
+def fuzz_argv(directory, cfg, command):
+    """argv running `command` on cfg, with the config and path files written
+    to directory."""
+    for name, text in FUZZ_PATHS.items():
+        (directory / name).write_text(text)
+    return [command[0], "--config", write(directory, cfg),
+            *(str(directory / a) if a in FUZZ_PATHS else a for a in command[1:])]
 
 
 @pytest.mark.parametrize("command", FUZZ_COMMANDS, ids=" ".join)
 def test_fuzz_base_config_runs(tmp_path, capsys, command):
     # every mutation starts from this config, so it must run cleanly itself
-    code = main([command[0], "--config", write(tmp_path, FUZZ_BASE), *command[1:]])
+    code = main(fuzz_argv(tmp_path, FUZZ_BASE, command))
     assert code == 0, capsys.readouterr().err
 
 
@@ -647,10 +664,9 @@ def mutated(path, how):
        command=st.sampled_from(FUZZ_COMMANDS))
 def test_config_mutations_keep_exit_code_contract(tmp_path_factory, path, how,
                                                   command):
-    cfg_path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
-    cfg_path.write_text(json.dumps(mutated(path, how)))
+    argv = fuzz_argv(tmp_path_factory.mktemp("fuzz"), mutated(path, how), command)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command[0], "--config", str(cfg_path), *command[1:]])
+        code = main(argv)
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()

@@ -119,8 +119,8 @@ def test_point_reads_share_one_interface(engine):
         sol = solve_tree(pay, tree_cfg, keep_values=True)
         q_axis, rtol = sol.qgrid, 0.0  # the tree reads its arrays exactly
         points = [(sol.t_grid[n], sol.qgrid[i], sol.node_prices(n)[k],
-                   sol.theta[n][k, i],
-                   float(sol.control_mult[n][k, i]) * sol.dq / sol.config.dt)
+                   sol.theta[n][i, k],
+                   float(sol.control_mult[n][i, k] * (sol.dq / sol.config.dt)))
                   for n in (0, 3, sol.J - 1) for k in (0, n, 2 * n)
                   for i in (0, 100, 200)]
     else:

@@ -593,6 +593,24 @@ def test_policy_speeds_is_the_clipped_point_read(small_surface, data, level):
     np.testing.assert_array_equal(v.view(np.uint64), want.view(np.uint64))
 
 
+def test_tree_policy_speeds_is_the_point_read():
+    # at dt = 0.3 the speed per grid step dq/dt = 1e4/0.3 is inexact, so
+    # mult*dq/dt and mult*(dq/dt) differ in the last bit on about 5,900 of
+    # the 19,841 trading nodes; the simulator's read must be policy's
+    pay = PayoffSpec(OptionContract(K=45.0, T=3.0, N=2e6, gamma=2e-6, q0=1e6),
+                     MarketParams(S0=45.0, sigma=0.6, volume=4e5, rho_max=5.0), COST)
+    tv = solve_tree(pay, TreeConfig(dt=0.3))
+    assert tv.dq == 1e4
+    for j in range(tv.J):
+        S = tv.node_prices(j)
+        q, S = np.repeat(tv.qgrid, S.size), np.tile(S, tv.qgrid.size)
+        alive = np.ones(q.size, dtype=bool)
+        v = tv.policy_speeds(j, q, S, alive)
+        assert alive.all()
+        want = np.array([tv.policy(tv.t_grid[j], qi, si) for qi, si in zip(q, S)])
+        np.testing.assert_array_equal(v.view(np.uint64), want.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # wealth decomposition
 

@@ -64,10 +64,10 @@ def test_zero_control_closed_form():
     per_step = np.log(p_edge * (np.exp(a) + np.exp(-a)) + (1 - 1 / alpha**2))
     for j in range(J + 1):
         expect = (J - j) * per_step / gamma
-        got = tv.theta[j][tv.theta[j].shape[0] // 2, :]
+        got = tv.theta[j][:, j]  # the middle node
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-9)
         # theta must not depend on the price node when the payoff is zero
-        assert np.ptp(tv.theta[j], axis=0).max() < 1e-9
+        assert np.ptp(tv.theta[j], axis=1).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -80,27 +80,30 @@ def test_reference_scenario_regression(reference_tree):
 
 
 def tree_digest(tv):
-    """SHA-256 over theta[j] and control_mult[j] of every level, as stored
-    bytes of their (2j+1, n_q) C-ordered copies."""
+    """SHA-256 over theta[j] and control_mult[j] of every level, as the
+    bytes of their node-major (2j+1, n_q) C-ordered copies; the digest was
+    recorded in that order, before the levels were stored inventory-major."""
     h = hashlib.sha256()
     for j in range(tv.J + 1):
-        h.update(np.ascontiguousarray(tv.theta[j]).tobytes())
+        h.update(np.ascontiguousarray(tv.theta[j].T).tobytes())
         if j < tv.J:
-            h.update(np.ascontiguousarray(tv.control_mult[j]).tobytes())
+            h.update(np.ascontiguousarray(tv.control_mult[j].T).tobytes())
     return h.hexdigest()
 
 
 def test_reference_scenario_bits_pinned():
-    # every level of the reference scenario at dt = 1, bit for bit; the
-    # digest was recorded before the levels were stored inventory-major.
-    # numpy's SIMD exp/log may round differently on another CPU family,
-    # and then this digest is recorded again, as the perfbench reference is
+    # every level of the reference scenario at dt = 1, bit for bit, each
+    # stored as the solver's C-contiguous (n_q, 2j+1) array. numpy's SIMD
+    # exp/log may round differently on another CPU family, and then this
+    # digest is recorded again, as the perfbench reference is
     tv = solve_tree(reference_payoff(), TreeConfig(dt=1.0), keep_values=True)
     nq = tv.qgrid.size
     for j in range(tv.J + 1):
-        assert tv.theta[j].shape == (2 * j + 1, nq)
+        assert tv.theta[j].shape == (nq, 2 * j + 1)
+        assert tv.theta[j].flags.c_contiguous
         if j < tv.J:
-            assert tv.control_mult[j].shape == (2 * j + 1, nq)
+            assert tv.control_mult[j].shape == (nq, 2 * j + 1)
+            assert tv.control_mult[j].flags.c_contiguous
     assert tree_digest(tv) == (
         "eba90d8f9895b811e8a1074aec8e359322edb0705ce13fab08f92512c44775a2")
 
@@ -130,7 +133,7 @@ def test_lean_solve_stores_controls_and_one_level(lean_and_full_tree):
     controls = sum((2 * j + 1) * nq * 2 for j in range(lean.J))  # int16
     assert sum(a.nbytes for a in lean.control_mult) == controls
     assert sum(a.nbytes for a in lean.theta) == nq * 8  # theta_0: one node
-    assert lean.theta[0].shape == (1, nq)
+    assert lean.theta[0].shape == (nq, 1)
 
 
 def test_full_hedge_start_costs_more(reference_tree):
@@ -143,7 +146,7 @@ def test_full_hedge_start_costs_more(reference_tree):
 
 def test_root_value_convex_in_q(reference_tree):
     tv = reference_tree
-    th = tv.theta[0][0, :]
+    th = tv.theta[0][:, 0]
     d2 = th[2:] - 2 * th[1:-1] + th[:-2]
     assert d2.min() >= -1e-6 * np.abs(th).max()
 
