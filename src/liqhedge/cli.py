@@ -212,12 +212,11 @@ def load_config(path: str, engine_override=None, seed_override=None) -> RunConfi
 
 
 def _solve(cfg: RunConfig):
-    """Solve the pricing problem; returns (ImpactSolution, diagnostics).
+    """Solve the pricing problem; returns the ImpactSolution.
 
     A grid that does not fit the problem (q0 or S0 off it, a trade that is
     not a whole number of inventory steps) is a config error.
     """
-    t0 = time.perf_counter()
     try:
         sol = solve_with_impact(cfg.payoff, cfg.engine, grid=cfg.grid,
                                 scheme=cfg.scheme, config=cfg.tree_config)
@@ -225,16 +224,9 @@ def _solve(cfg: RunConfig):
         raise  # a ValueError subclass, but a numerical failure
     except ValueError as e:
         raise ConfigError(f"solver: {e}")
-    wall = time.perf_counter() - t0
     if not math.isfinite(sol.price):
         raise NumericalError("solver produced a non-finite price")
-    if cfg.engine == "tree":
-        diag = {"levels": sol.solution.J, "dt": cfg.tree_config.dt}
-    else:
-        g = cfg.grid
-        diag = {"n_S": g.n_S, "n_q": g.n_q, "n_t": g.n_t}
-    diag["wall_time_s"] = round(wall, 3)
-    return sol, diag
+    return sol
 
 
 def _meta_line(cfg: RunConfig) -> str:
@@ -258,23 +250,30 @@ def _emit(text: str, out: Optional[str]):
 
 
 def cmd_price(cfg: RunConfig, args) -> str:
-    sol, diag = _solve(cfg)
+    t0 = time.perf_counter()
+    sol = _solve(cfg)
+    wall = round(time.perf_counter() - t0, 3)
     price, c = sol.price, cfg.payoff.contract
     per_share = price / c.N if c.N else price
     if args.format == "csv":
         lines = ["engine,settlement,price_per_share,price_total,wall_time_s",
                  f"{cfg.engine},{c.settlement},{per_share:.10g},"
-                 f"{price:.10g},{diag['wall_time_s']}",
+                 f"{price:.10g},{wall}",
                  _meta_line(cfg)]
         return "\n".join(lines) + "\n"
+    if cfg.engine == "tree":
+        grid = {"levels": sol.solution.J, "dt": cfg.tree_config.dt}
+    else:
+        g = cfg.grid
+        grid = {"n_S": g.n_S, "n_q": g.n_q, "n_t": g.n_t}
     report = {
         "command": "price",
         "engine": cfg.engine,
         "settlement": c.settlement,
         "price_per_share": per_share,
         "price_total": price,
-        "grid": {k: v for k, v in diag.items() if k != "wall_time_s"},
-        "wall_time_s": diag["wall_time_s"],
+        "grid": grid,
+        "wall_time_s": wall,
         "version": __version__,
         "seed": cfg.sim.seed,
         "config_sha256": cfg.config_hash,
@@ -315,7 +314,7 @@ def cmd_hedge(cfg: RunConfig, args) -> str:
             and abs(t[0]) <= 1e-12 + 1e-9 * h):
         raise ConfigError("path times must be uniform over [0, T]")
 
-    sol, _ = _solve(cfg)
+    sol = _solve(cfg)
     try:
         q, v = policy_trajectory(pay, sol.solution, S)
     except ValueError as e:
@@ -362,7 +361,7 @@ def cmd_simulate(cfg: RunConfig, args) -> str:
             on_paths = dataclasses.replace(cfg, tree_config=tree)
         else:
             on_paths = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, n_t=steps))
-        add(run_policy_hedge, _solve(on_paths)[0].solution, cfg.sim)
+        add(run_policy_hedge, _solve(on_paths).solution, cfg.sim)
     rows.append(_meta_line(cfg))
     return "\n".join(rows) + "\n"
 
@@ -394,11 +393,11 @@ def cmd_sweep(cfg: RunConfig, args) -> str:
     if args.param is None or args.values is None:
         raise ConfigError("sweep needs --param and --values")
     values = _sweep_values(args.values, args.param)
+    # every value is checked before the first solve
+    payoffs = [_with_param(cfg, args.param, value) for value in values]
     rows = ["param,value,price_per_share"]
-    for value in values:
-        pay = _with_param(cfg, args.param, value)
-        sub = dataclasses.replace(cfg, payoff=pay)
-        price = _solve(sub)[0].price
+    for value, pay in zip(values, payoffs):
+        price = _solve(dataclasses.replace(cfg, payoff=pay)).price
         per_share = price / pay.contract.N if pay.contract.N else price
         val_text = value if isinstance(value, str) else f"{value:.10g}"
         rows.append(f"{args.param},{val_text},{per_share:.10g}")

@@ -207,31 +207,26 @@ class ThetaSurface:
         return self._interp(partial(self.control.take, level), q_in, S_in)
 
 
-def _build_banded_A(grid: GridSpec, market, dt: float) -> np.ndarray:
-    """Banded (ab) matrix for the implicit linear substep along S."""
-    nS = grid.n_S
-    dS = (grid.S_max - grid.S_min) / (nS - 1)
+def _build_banded_A(n_S: int, dS: float, market, dt: float) -> np.ndarray:
+    """Banded matrix of the implicit linear substep along S, in the layout
+    solve_banded((1, 1), ab, ...) reads: ab[0, j] = A[j-1, j] (upper
+    diagonal), ab[1, j] = A[j, j] (main), ab[2, j] = A[j+1, j] (lower);
+    ab[0, 0] and ab[2, -1] stay zero."""
     mu, r = market.mu, market.r
     with _overflow_of("sigma"):
         sig2 = market.sigma**2
     with _overflow_of("S0, K or the S step (S_max - S_min)/(n_S - 1)"):
         diff = 0.5 * sig2 / dS**2
     adv = mu / (2.0 * dS)
-    lower = np.zeros(nS)
-    diag = np.zeros(nS)
-    upper = np.zeros(nS)
-    diag[1:-1] = 1.0 + r * dt + 2.0 * dt * diff
-    lower[1:-1] = -dt * (diff - adv)
-    upper[1:-1] = -dt * (diff + adv)
-    # boundaries: d_SS theta = 0, one-sided first derivative
-    diag[0] = 1.0 + r * dt + dt * mu / dS
-    upper[0] = -dt * mu / dS
-    diag[-1] = 1.0 + r * dt - dt * mu / dS
-    lower[-1] = dt * mu / dS
-    ab = np.zeros((3, nS))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
+    ab = np.zeros((3, n_S))
+    ab[0, 2:] = -dt * (diff + adv)
+    ab[1, 1:-1] = 1.0 + r * dt + 2.0 * dt * diff
+    ab[2, :-2] = -dt * (diff - adv)
+    # boundary rows: d_SS theta = 0, one-sided first derivative
+    ab[1, 0] = 1.0 + r * dt + dt * mu / dS
+    ab[0, 1] = -dt * mu / dS
+    ab[1, -1] = 1.0 + r * dt - dt * mu / dS
+    ab[2, -2] = dt * mu / dS
     return ab
 
 
@@ -372,7 +367,7 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
     if keep_values:
         values[grid.n_t] = theta
 
-    ab = _build_banded_A(grid, m, dt)
+    ab = _build_banded_A(nS, dS, m, dt)
     # q-dependent source of the linear substep: -dt*(mu - r*S)*q
     if m.mu != 0.0 or m.r != 0.0:
         source = -dt * (m.mu - m.r * Sgrid[None, :]) * qcol

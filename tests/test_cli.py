@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liqhedge import cli
 from liqhedge.cli import load_config, main
 from liqhedge.fixtures import reference_path
 from liqhedge.model import bachelier_price
@@ -305,6 +306,23 @@ def test_hedge_trajectory_smoother_than_delta(tmp_path, capsys):
     assert tv_model < tv_delta
 
 
+def test_hedge_tree_with_permanent_impact_prints_both_prices(tmp_path, capsys):
+    # the bundled path is the unaffected price S_tilde; S = S_tilde + k (q - q0)
+    cfg = reference_dict()
+    cfg["market"]["k"] = 1e-7
+    code, out = run(capsys, "hedge", "--config", write(tmp_path, cfg), "--engine", "tree")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "t,S,q_model,q_bachelier_delta,v_model,S_tilde"
+    data = np.asarray([ln.split(",") for ln in lines[1:-1]], dtype=float)
+    assert data.shape == (253, 6)
+    S, q, S_tilde = data[:, 1], data[:, 2], data[:, 5]
+    np.testing.assert_allclose(S_tilde, reference_path()[1], rtol=1e-9, atol=0)
+    assert q.min() < 9.5e6 and q.max() > 1.9e7  # the impact term moves S by about 1
+    # each column is printed to 10 significant digits
+    np.testing.assert_allclose(S - S_tilde, 1e-7 * (q - 1e7), rtol=0, atol=2e-8)
+
+
 def test_hedge_path_resolution_mismatch(tmp_path, capsys):
     short = tmp_path / "short.csv"
     short.write_text("t,S\n" + "\n".join(
@@ -335,14 +353,17 @@ def test_hedge_path_must_start_at_zero(tmp_path, capsys):
     "t,S\n0\n1\n",
     "t,S\n0,45\n1,nan\n",
     b"t,S\n0,45\n\xff,1\n",  # not UTF-8
+    None,  # no such file
 ])
 def test_hedge_bad_path_file_is_config_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.csv"
-    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+    if text is not None:
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     path = write(tmp_path, reference_dict())
     code = main(["hedge", "--config", path, "--path", str(bad)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    reason = "cannot read path file" if text is None else "path file:"
+    assert capsys.readouterr().err.startswith("config error: " + reason)
 
 
 def test_tree_step_count_is_shared(tmp_path, capsys):
@@ -544,6 +565,22 @@ def test_sweep_argument_validation(tmp_path, capsys):
     assert exc.value.code == 2
     capsys.readouterr()
     assert run(capsys, "sweep", "--config", path, "--param", "eta")[0] == 2
+    capsys.readouterr()
+    for values, message in ((",", "--values is empty"), ("abc", "--values:")):
+        assert main(["sweep", "--config", path, "--param", "eta", "--values", values]) == 2
+        assert capsys.readouterr().err.startswith("config error: " + message)
+
+
+def test_sweep_checks_every_value_before_solving(tmp_path, monkeypatch, capsys):
+    calls, solve = [], cli.solve_with_impact
+    monkeypatch.setattr(cli, "solve_with_impact",
+                        lambda *a, **kw: calls.append(a) or solve(*a, **kw))
+    code = main(["sweep", "--config", write(tmp_path, reference_dict()), "--engine", "tree",
+                 "--param", "q0", "--values", "1e7,0,5e6,2.5e7"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: sweep value 25000000.0: q0 must lie in [0, N]\n")
+    assert calls == []
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -396,6 +396,10 @@ def test_market_params_validation():
         MarketParams(S0=45, sigma=0.6, volume=4e6, rho_max=5.0, k=1e-7, mu=0.01)
     with pytest.raises(ValueError):
         MarketParams(S0=45, sigma=0.6, volume=4e6, rho_max=5.0, k=1e-7, r=1e-4)
+    with pytest.raises(ValueError, match="permanent impact k must be >= 0"):
+        MarketParams(S0=45, sigma=0.6, volume=4e6, rho_max=5.0, k=-1e-7)
+    with pytest.raises(ValueError, match="psi must be >= 0"):
+        ExecutionCost(eta=0.1, phi=0.75, psi=-0.01)
     MarketParams(S0=45, sigma=0.6, volume=4e6, rho_max=5.0, k=1e-7)  # ok
 
 
@@ -408,6 +412,10 @@ def test_contract_validation():
         OptionContract(K=45, T=63, N=2e7, gamma=2e-7, q0=3e7)
     with pytest.raises(ValueError):
         OptionContract(K=45, T=63, N=2e7, gamma=2e-7, settlement="swap")
+    with pytest.raises(ValueError, match="nominal N must be >= 0"):
+        OptionContract(K=45, T=63, N=-2e7, gamma=2e-7, q0=0.0)
+    with pytest.raises(ValueError, match="q0 must be 0 when N = 0"):
+        OptionContract(K=45, T=63, N=0.0, gamma=2e-7, q0=1e7)
     OptionContract(K=45, T=63, N=0.0, gamma=2e-7)  # degenerate no-option
 
 
@@ -450,6 +458,20 @@ def test_volume_curve():
     for starts in ([float("nan"), 2.0], [float("nan")], [0.0, float("inf")]):
         with pytest.raises(ValueError):
             VolumeCurve(starts, [1.0] * len(starts))
+    with pytest.raises(ValueError, match="at least one segment"):
+        VolumeCurve([], [])
+
+
+def test_volume_curve_eq_and_repr():
+    const, piecewise = VolumeCurve.constant(4e6), VolumeCurve([0.0, 10.0], [4e6, 2e6])
+    assert const == VolumeCurve([0.0], [4e6]) and const != piecewise
+    assert piecewise == VolumeCurve([0, 10], [4e6, 2e6])
+    assert piecewise != VolumeCurve([0.0, 5.0], [4e6, 2e6])
+    assert const != 4e6  # a non-curve compares unequal rather than raising
+    assert repr(const).startswith("VolumeCurve.constant(")
+    assert repr(piecewise) == "VolumeCurve([0.0, 10.0], [4000000.0, 2000000.0])"
+    for curve in (const, piecewise):  # numpy 2 writes the constant as np.float64(...)
+        assert eval(repr(curve), {"VolumeCurve": VolumeCurve, "np": np}) == curve
 
 
 def test_rescale_nominal_mapping():

@@ -303,6 +303,8 @@ def test_rejects_bad_grids():
     bad_q0 = reference_payoff(T=8.0, q0=1e7 + 5e4)
     with pytest.raises(ValueError):
         solve_tree(bad_q0, TreeConfig(dt=0.5, dq=1e5))
+    with pytest.raises(ValueError, match="q_max must be >= q_min"):
+        solve_tree(pay, TreeConfig(q_min=1e7, q_max=0.0))
     for bad in ({"dt": math.inf}, {"alpha": math.inf}, {"dq": math.nan},
                 {"q_min": -math.inf, "q_max": 2e7}):
         with pytest.raises(ValueError):
