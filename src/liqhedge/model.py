@@ -91,8 +91,8 @@ class VolumeCurve:
         )
 
     def __repr__(self):
-        if self.is_constant:
-            return f"VolumeCurve.constant({self.values[0]!r})"
+        if self.starts.tolist() == [0.0]:
+            return f"VolumeCurve.constant({float(self.values[0])!r})"
         return f"VolumeCurve({self.starts.tolist()!r}, {self.values.tolist()!r})"
 
 

@@ -247,12 +247,9 @@ def _step_B(theta: np.ndarray, qcol: np.ndarray, dS: float, coef: float,
     done = 0.0
     n = 0
     while done < dt - 1e-13:
-        dminus = np.empty_like(theta)
-        dminus[:, 1:] = (theta[:, 1:] - theta[:, :-1]) / dS
-        dminus[:, 0] = dminus[:, 1]
-        dplus = np.empty_like(theta)
-        dplus[:, :-1] = dminus[:, 1:]
-        dplus[:, -1] = dminus[:, -1]
+        d = (theta[:, 1:] - theta[:, :-1]) / dS
+        dminus = np.concatenate((d[:, :1], d), axis=1)  # D- at the first node is D+
+        dplus = np.concatenate((d, d[:, -1:]), axis=1)  # D+ at the last node is D-
         gap = np.maximum(np.maximum(qcol - dminus, 0.0),
                          np.maximum(dplus - qcol, 0.0))
         gmax = float(gap.max())
@@ -318,8 +315,8 @@ def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
     rho_used = (x - np.arange(nq)[:, None]) * dq / (V * dt)
     i0 = np.minimum(x.astype(int), nq - 2)
     fr = x - i0
-    j = np.broadcast_to(np.arange(theta.shape[1]), theta.shape)
-    cand = V * cost(rho_used) * dt + (1 - fr) * theta[i0, j] + fr * theta[i0 + 1, j]
+    cand = V * cost(rho_used) * dt + (1 - fr) * np.take_along_axis(theta, i0, 0) \
+        + fr * np.take_along_axis(theta, i0 + 1, 0)
     # take_cheaper with one new code per winning node, its speed appended
     won = cand < best
     np.minimum(cand, best, out=best)

@@ -7,15 +7,12 @@ there for the tests that read levels after 0. Tests read these arrays and
 never write them.
 """
 
-from pathlib import Path
-
 import pytest
 
 from liqhedge.cli import load_config
 from liqhedge.pde import solve_theta
 from liqhedge.tree import solve_tree
-
-REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "reference_config.json"
+from oracles import REFERENCE_CONFIG
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,42 @@
-"""Test-only helpers: the Hamiltonian transform, the unit-nominal rescaling
-and the discrete wealth decomposition. The package has no caller for any of
-them; the tests use them as independent checks of the engines' closed forms,
-scaling and accounting."""
+"""Test-only helpers: `reference_payoff`, the reference scenario with the
+fields a test changes, and the Hamiltonian transform, the unit-nominal
+rescaling and the discrete wealth decomposition. The package has no caller
+for any of them; the tests use the last three as independent checks of the
+engines' closed forms, scaling and accounting."""
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 
-from liqhedge.model import ExecutionCost, MarketParams, OptionContract, VolumeCurve, optimal_rate
+from liqhedge.cli import load_config
+from liqhedge.model import (ExecutionCost, MarketParams, OptionContract, PayoffSpec,
+                            VolumeCurve, optimal_rate)
+
+REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "reference_config.json"
+
+
+def reference_payoff(**changes) -> PayoffSpec:
+    """The payoff of `demos/reference_config.json` with `changes` applied.
+
+    Each keyword goes to the one object with a field by that name: K, T, N,
+    gamma, q0, settlement to the contract; S0, sigma, volume, rho_max, mu, r,
+    k to the market; eta, phi, psi to the cost; cost, penalty, penalty_rate
+    to the PayoffSpec. Each object is rebuilt once, so its validation sees
+    the final values. An unknown keyword raises TypeError.
+    """
+    base = load_config(str(REFERENCE_CONFIG)).payoff
+
+    def rebuilt(obj):
+        return dataclasses.replace(obj, **{f.name: changes.pop(f.name)
+                                           for f in dataclasses.fields(obj)
+                                           if f.name in changes})
+
+    contract, market = rebuilt(base.contract), rebuilt(base.market)
+    cost = rebuilt(changes.pop("cost", base.cost))
+    return dataclasses.replace(base, contract=contract, market=market, cost=cost,
+                               **changes)
 
 
 def hamiltonian(cost: ExecutionCost, p, rho_max: float):

@@ -14,14 +14,7 @@ import pytest
 
 from liqhedge.fixtures import reference_path
 from liqhedge.impact import solve_with_impact
-from liqhedge.model import (
-    ExecutionCost,
-    MarketParams,
-    OptionContract,
-    PayoffSpec,
-    VolumeCurve,
-    bachelier_price,
-)
+from liqhedge.model import ExecutionCost, bachelier_price
 from liqhedge.pde import GridSpec, solve_theta
 from liqhedge.simulate import (
     PathConfig,
@@ -31,19 +24,9 @@ from liqhedge.simulate import (
     _twap_matrix,
 )
 from liqhedge.tree import TreeConfig, solve_tree
-from oracles import hamiltonian
+from oracles import hamiltonian, reference_payoff
 
 N = 2e7
-COST = ExecutionCost(0.1, 0.75)
-
-
-def ref_payoff(eta=0.1, gamma=2e-7, q0=1e7, rho_max=5.0,
-               settlement="physical", k=0.0):
-    contract = OptionContract(K=45.0, T=63.0, N=N, gamma=gamma, q0=q0,
-                              settlement=settlement)
-    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6,
-                          rho_max=rho_max, k=k)
-    return PayoffSpec(contract, market, ExecutionCost(eta, 0.75))
 
 
 def tree_price(tv, q0=None):
@@ -57,22 +40,22 @@ def tree_price(tv, q0=None):
 @pytest.fixture(scope="module")
 def tree_slow():
     # participation capped at 50% of market volume
-    return solve_tree(ref_payoff(rho_max=0.5), TreeConfig())
+    return solve_tree(reference_payoff(rho_max=0.5), TreeConfig())
 
 
 @pytest.fixture(scope="module")
 def tree_cash_slow():
-    return solve_tree(ref_payoff(rho_max=0.5, settlement="cash"), TreeConfig())
+    return solve_tree(reference_payoff(rho_max=0.5, settlement="cash"), TreeConfig())
 
 
 @pytest.fixture(scope="module")
 def tree_cash():
-    return solve_tree(ref_payoff(settlement="cash"), TreeConfig())
+    return solve_tree(reference_payoff(settlement="cash"), TreeConfig())
 
 
 @pytest.fixture(scope="module")
 def eta_trees():
-    return {eta: solve_tree(ref_payoff(eta=eta), TreeConfig())
+    return {eta: solve_tree(reference_payoff(eta=eta), TreeConfig())
             for eta in (0.2, 0.05, 0.01)}
 
 
@@ -80,13 +63,13 @@ def eta_trees():
 def pde_matched():
     # same time step as the tree (0.25 days) and the same inventory
     # spacing (1e5 shares), with the price step halved
-    pay = ref_payoff()
+    pay = reference_payoff()
     return solve_theta(pay, GridSpec.default(pay, n_S=481, n_q=241))
 
 
 @pytest.fixture(scope="module")
 def mc_results(reference_surface):
-    pay = ref_payoff()
+    pay = reference_payoff()
     delta = {M: run_delta_hedge(pay, PathConfig(M=M)) for M in
              (10, 20, 40, 80, 160)}
     policy = run_policy_hedge(pay, reference_surface, PathConfig())
@@ -122,7 +105,7 @@ def test_execution_cost_sweep(reference_tree, eta_trees):
 
     # with both frictions and risk aversion switched off the price
     # collapses to the frictionless closed form
-    tv = solve_tree(ref_payoff(eta=1e-6, gamma=1e-12), TreeConfig())
+    tv = solve_tree(reference_payoff(eta=1e-6, gamma=1e-12), TreeConfig())
     assert tree_price(tv) == pytest.approx(
         bachelier_price(45.0, 45.0, 0.6, 63.0), abs=0.01)
 
@@ -135,7 +118,7 @@ def test_risk_aversion_sweep(reference_tree):
         if gamma == 2e-7:
             p = tree_price(reference_tree)
         else:
-            p = tree_price(solve_tree(ref_payoff(gamma=gamma), TreeConfig()))
+            p = tree_price(solve_tree(reference_payoff(gamma=gamma), TreeConfig()))
         assert p == pytest.approx(want, abs=0.03), f"gamma={gamma}"
         prices.append(p)
     assert all(b > a for a, b in zip(prices, prices[1:]))
@@ -162,7 +145,7 @@ def test_settlement_prices(tree_slow, tree_cash_slow):
 
 
 def test_permanent_impact_price(pde_matched):
-    pay = ref_payoff(k=3e-7)
+    pay = reference_payoff(k=3e-7)
     sol = solve_with_impact(pay, "pde",
                             grid=GridSpec.default(pay, n_S=481, n_q=241))
     per_share = sol.price / N
@@ -199,12 +182,9 @@ def test_value_convex_in_inventory_both_engines(reference_surface, reference_tre
 
 def test_frozen_inventory_closed_forms():
     gamma, sigma, T = 3e-7, 0.6, 4.0
-    contract = OptionContract(K=45.0, T=T, N=0.0, gamma=gamma, q0=0.0,
-                              settlement="cash")
-    market = MarketParams(S0=45.0, sigma=sigma,
-                          volume=VolumeCurve.constant(4e6), rho_max=0.0)
-    pay = PayoffSpec(contract, market, COST, penalty_rate=1.0,
-                     penalty=lambda q: np.zeros_like(q))
+    pay = reference_payoff(T=T, N=0.0, gamma=gamma, q0=0.0, settlement="cash",
+                           sigma=sigma, rho_max=0.0, penalty_rate=1.0,
+                           penalty=lambda q: np.zeros_like(q))
 
     surf = solve_theta(pay, GridSpec(40.0, 50.0, 11, -2e6, 2e6, 9, 16),
                        keep_values=True)
@@ -296,7 +276,7 @@ def test_twap_law_moments():
 def test_trajectory_smoother_than_delta_hedge(reference_tree):
     from liqhedge.model import bachelier_delta
     t, S = reference_path()
-    q, _ = policy_trajectory(ref_payoff(), reference_tree, S)
+    q, _ = policy_trajectory(reference_payoff(), reference_tree, S)
     q_delta = N * bachelier_delta(S, 45.0, 0.6, np.maximum(63.0 - t, 0.0))
     assert np.abs(np.diff(q)).sum() < np.abs(np.diff(q_delta)).sum()
 
@@ -306,15 +286,15 @@ def test_trajectory_smoothing_increases_with_execution_cost(reference_tree, eta_
     tv = {0.1: reference_tree, **eta_trees}
     variation = {}
     for eta, solved in tv.items():
-        q, _ = policy_trajectory(ref_payoff(eta=eta), solved, S)
+        q, _ = policy_trajectory(reference_payoff(eta=eta), solved, S)
         variation[eta] = np.abs(np.diff(q)).sum()
     assert variation[0.2] < variation[0.1] < variation[0.05] < variation[0.01]
 
 
 def test_trajectory_forgets_initial_inventory(reference_tree):
     t, S = reference_path()
-    q_low, _ = policy_trajectory(ref_payoff(), reference_tree, S, q0=0.0)
-    q_high, _ = policy_trajectory(ref_payoff(), reference_tree, S, q0=1e7)
+    q_low, _ = policy_trajectory(reference_payoff(), reference_tree, S, q0=0.0)
+    q_high, _ = policy_trajectory(reference_payoff(), reference_tree, S, q0=1e7)
     after = t >= 10.0
     assert np.abs(q_low - q_high)[after].max() <= 2.0 * reference_tree.dq
 
@@ -322,8 +302,8 @@ def test_trajectory_forgets_initial_inventory(reference_tree):
 def test_trajectory_cash_settlement_unwinds_near_expiry(reference_tree, tree_cash):
     t, S = reference_path()
     assert S[-1] > 45.0  # the bundled path finishes in the money
-    q_phys, _ = policy_trajectory(ref_payoff(), reference_tree, S)
-    q_cash, _ = policy_trajectory(ref_payoff(settlement="cash"), tree_cash, S)
+    q_phys, _ = policy_trajectory(reference_payoff(), reference_tree, S)
+    q_cash, _ = policy_trajectory(reference_payoff(settlement="cash"), tree_cash, S)
     assert q_phys[-1] >= 0.95 * N
     assert q_cash[-1] <= 0.60 * N
     late = np.searchsorted(t, 58.0)

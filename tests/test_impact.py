@@ -9,28 +9,17 @@ import math
 import numpy as np
 import pytest
 
-from liqhedge.model import (
-    ExecutionCost,
-    MarketParams,
-    OptionContract,
-    PayoffSpec,
-    VolumeCurve,
-)
 from liqhedge.impact import solve_with_impact
 from liqhedge.pde import GridSpec, solve_theta
 from liqhedge.tree import TreeConfig, price_with_initial_exchange, solve_tree
+from oracles import reference_payoff
 
-
-def make_payoff(k=0.0, T=8.0, settlement="physical", q0=1e6):
-    contract = OptionContract(K=45.0, T=T, N=2e6, gamma=2e-6, q0=q0,
-                              settlement=settlement)
-    market = MarketParams(S0=45.0, sigma=0.6, volume=VolumeCurve.constant(4e5),
-                          rho_max=5.0, k=k)
-    return PayoffSpec(contract, market, ExecutionCost(0.1, 0.75))
+# the reference scenario over 8 days at a tenth of its nominal and volume
+SMALL = dict(T=8.0, N=2e6, gamma=2e-6, q0=1e6, volume=4e5)
 
 
 def test_degenerates_without_impact():
-    pay = make_payoff(k=0.0)
+    pay = reference_payoff(**SMALL, k=0.0)
     q = np.linspace(-1e5, 2.2e6, 7)[:, None]
     S = np.linspace(30.0, 60.0, 9)[None, :]
     N, K, ell = pay.contract.N, pay.contract.K, pay.liquidation
@@ -43,8 +32,8 @@ def test_degenerates_without_impact():
 
 def test_terminal_formulas_by_substitution():
     k, q0, N, K = 3e-6, 1e6, 2e6, 45.0
-    cash = make_payoff(k=k, settlement="cash")
-    phys = make_payoff(k=k, settlement="physical")
+    cash = reference_payoff(**SMALL, k=k, settlement="cash")
+    phys = reference_payoff(**SMALL, k=k, settlement="physical")
     ell = cash.liquidation
 
     # q = q0 kills the coordinate shift
@@ -68,7 +57,7 @@ def test_terminal_formulas_by_substitution():
 
 
 def test_offset_shifts_every_node_uniformly():
-    pay = make_payoff(k=3e-6)
+    pay = reference_payoff(**SMALL, k=3e-6)
     cfg = TreeConfig(dt=0.5)
     shift = 0.5 * 3e-6 * 1e6**2
     # a penalty lowered by the constant cancels the terminal's k*q0^2/2
@@ -84,7 +73,7 @@ def test_price_monotone_in_impact():
     grid = None
     prices = []
     for k in (0.0, 1.5e-6, 3e-6):
-        pay = make_payoff(k=k)
+        pay = reference_payoff(**SMALL, k=k)
         if grid is None:
             grid = GridSpec.default(pay, n_S=81, n_q=41)
             grid = GridSpec(grid.S_min, grid.S_max, 81, grid.q_min,
@@ -94,7 +83,7 @@ def test_price_monotone_in_impact():
 
 
 def test_observed_price_map():
-    pay = make_payoff(k=3e-6)
+    pay = reference_payoff(**SMALL, k=3e-6)
     q = np.array([0.0, 5e5, 1e6, 2e6])
     St = np.array([44.0, 45.0, 46.0, 47.0])
     np.testing.assert_array_equal(pay.observed_price(St, q) - St,
@@ -103,7 +92,7 @@ def test_observed_price_map():
 
 def test_engine_name_validated():
     with pytest.raises(ValueError):
-        solve_with_impact(make_payoff(), "fd")
+        solve_with_impact(reference_payoff(**SMALL), "fd")
 
 
 @pytest.mark.parametrize("engine", ["tree", "pde"])
@@ -111,7 +100,7 @@ def test_point_reads_share_one_interface(engine):
     # both solutions answer price(t, q, S) and policy(t, q, S) at their grid
     # points, raise ValueError off the grid, and the dispatcher's price is
     # the solution's own read at (0, q0, S0)
-    pay = make_payoff()
+    pay = reference_payoff(**SMALL)
     c, m = pay.contract, pay.market
     grid = GridSpec.default(pay, n_S=21, n_q=11, steps_per_day=1.0)
     tree_cfg = TreeConfig(dt=0.5)

@@ -2,8 +2,6 @@
 force over every shift: integer data, so that exact ties occur, and strictly
 convex float data with guesses, so that the certified search runs."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +9,10 @@ from hypothesis import strategies as st
 
 from liqhedge import minplus
 from liqhedge.minplus import shift_min, trade_ladder
-from liqhedge.model import (ExecutionCost, MarketParams, OptionContract, PayoffSpec,
-                            VolumeCurve)
+from liqhedge.model import ExecutionCost, VolumeCurve
 from liqhedge.pde import GridSpec, solve_theta
 from liqhedge.tree import TreeConfig, solve_tree
+from oracles import reference_payoff
 
 
 def brute_shift_min(f, costs):
@@ -177,22 +175,18 @@ def test_trade_ladder_names_an_overflowing_trade():
 # both engines, searched against scanned
 
 
-def engine_problems():
-    """The sweep benchmark's variants over 8 days, a risk aversion at which
-    some columns fail their certificate, and a volume curve with a segment
-    that cannot trade."""
-    c = OptionContract(K=45.0, T=8.0, N=2e7, gamma=2e-7, q0=1e7, settlement="physical")
-    m = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0)
-    rep = dataclasses.replace
-    return {
-        "ref": (c, m),
-        "q0-0": (rep(c, q0=0.0), m),
-        "drift": (c, rep(m, mu=0.05 / 252, r=0.02 / 252)),
-        "cash": (rep(c, settlement="cash"), rep(m, rho_max=0.5)),
-        "impact": (c, rep(m, k=1e-7)),
-        "gamma-2e-5": (rep(c, gamma=2e-5), m),
-        "dead-volume": (c, rep(m, volume=VolumeCurve([0.0, 4.0, 6.0], [4e6, 0.0, 4e6]))),
-    }
+# the sweep benchmark's variants of the reference scenario over 8 days, a
+# risk aversion at which some columns fail their certificate, and a volume
+# curve with a segment that cannot trade
+ENGINE_PROBLEMS = {
+    "ref": {},
+    "q0-0": dict(q0=0.0),
+    "drift": dict(mu=0.05 / 252, r=0.02 / 252),
+    "cash": dict(settlement="cash", rho_max=0.5),
+    "impact": dict(k=1e-7),
+    "gamma-2e-5": dict(gamma=2e-5),
+    "dead-volume": dict(volume=VolumeCurve([0.0, 4.0, 6.0], [4e6, 0.0, 4e6])),
+}
 
 
 def solve_both(pay):
@@ -217,10 +211,9 @@ def scanned_columns(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("name", list(engine_problems()))
+@pytest.mark.parametrize("name", list(ENGINE_PROBLEMS))
 def test_engines_search_matches_forced_scan_bit_for_bit(name, monkeypatch):
-    c, m = engine_problems()[name]
-    pay = PayoffSpec(c, m, ExecutionCost(0.1, 0.75))
+    pay = reference_payoff(T=8.0, **ENGINE_PROBLEMS[name])
     seen = scanned_columns(monkeypatch)
     searched = solve_both(pay)
     if name == "gamma-2e-5":
@@ -237,10 +230,7 @@ def test_engines_search_matches_forced_scan_bit_for_bit(name, monkeypatch):
 def test_reference_tree_scans_only_its_first_level(monkeypatch):
     # dt 1 on the reference scenario: 63 levels of 201 inventory nodes and a
     # cap of 200; every column after the first level is searched
-    pay = PayoffSpec(OptionContract(K=45.0, T=63.0, N=2e7, gamma=2e-7, q0=1e7,
-                                    settlement="physical"),
-                     MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0),
-                     ExecutionCost(0.1, 0.75))
+    pay = reference_payoff()
     seen = scanned_columns(monkeypatch)
     tv = solve_tree(pay, TreeConfig(dt=1.0))
     assert tv.J == 63 and seen == [2 * 62 + 1]

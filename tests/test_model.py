@@ -25,9 +25,8 @@ from liqhedge.model import (
     VolumeCurve,
     bachelier_delta,
     bachelier_price,
-    optimal_rate,
 )
-from oracles import hamiltonian, rescale_nominal
+from oracles import hamiltonian, reference_payoff, rescale_nominal
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +126,8 @@ REF_COST = ExecutionCost(eta=0.1, phi=0.75, psi=0.0)
 def liquidation_penalty(q, cost, rate, gamma, sigma, volume):
     """ell(q) of PayoffSpec's closed form, unwinding at `rate` against a
     constant `volume`; rho_max = rate, so every rate > 0 is admissible."""
-    contract = OptionContract(K=45.0, T=63.0, N=2e7, gamma=gamma)
-    market = MarketParams(S0=45.0, sigma=sigma, volume=volume, rho_max=rate)
-    return PayoffSpec(contract, market, cost, penalty_rate=rate).liquidation(q)
+    return reference_payoff(q0=0.0, gamma=gamma, sigma=sigma, volume=volume, rho_max=rate,
+                            cost=cost, penalty_rate=rate).liquidation(q)
 
 
 def test_penalty_reference_value_and_quadrature():
@@ -290,15 +288,8 @@ def test_bachelier_negative_tau_rejected():
 # terminal payoff
 # ---------------------------------------------------------------------------
 
-def make_reference_payoff(settlement="physical"):
-    contract = OptionContract(K=45.0, T=63.0, N=2e7, gamma=2e-7, q0=1e7,
-                              settlement=settlement)
-    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0)
-    return PayoffSpec(contract=contract, market=market, cost=REF_COST)
-
-
 def test_terminal_payoff_physical():
-    p = make_reference_payoff()
+    p = reference_payoff()
     ell = p.liquidation
     N, K = 2e7, 45.0
     # exercised: deliver N, unwind the shortfall N - q
@@ -312,7 +303,7 @@ def test_terminal_payoff_physical():
 
 
 def test_terminal_payoff_cash():
-    p = make_reference_payoff("cash")
+    p = reference_payoff(settlement="cash")
     ell = p.liquidation
     assert p.terminal(1e7, 47.0) == pytest.approx(2e7 * 2.0 + ell(1e7))
     assert p.terminal(1e7, 44.0) == pytest.approx(ell(1e7))
@@ -320,7 +311,7 @@ def test_terminal_payoff_cash():
 
 
 def test_terminal_payoff_dominates_intrinsic():
-    p = make_reference_payoff()
+    p = reference_payoff()
     q = np.linspace(-2e6, 2.2e7, 41)[:, None]
     S = np.linspace(20.0, 70.0, 65)[None, :]
     pi = p.terminal(q, S)
@@ -329,22 +320,20 @@ def test_terminal_payoff_dominates_intrinsic():
 
 
 def test_payoff_penalty_override():
-    base = make_reference_payoff()
-    p = PayoffSpec(contract=base.contract, market=base.market, cost=base.cost,
-                   penalty=lambda q: np.zeros_like(np.asarray(q, dtype=float)))
+    p = reference_payoff(penalty=lambda q: np.zeros_like(np.asarray(q, dtype=float)))
     assert p.terminal(1e7, 44.0) == 0.0
     assert p.terminal(1e7, 47.0) == pytest.approx(4e7)
 
 
 def test_payoff_keeps_penalty_rate_as_given():
     # None unwinds at rho_max, so a replaced market moves the penalty with it
-    base = make_reference_payoff()
+    base = reference_payoff()
     assert base.penalty_rate is None and base.liquidation_rate == 5.0
     q = np.linspace(-2e7, 2e7, 9)
     for rho_max in (10.0, 0.5):
         market = dataclasses.replace(base.market, rho_max=rho_max)
         moved = dataclasses.replace(base, market=market)
-        fresh = PayoffSpec(base.contract, market, base.cost)
+        fresh = reference_payoff(rho_max=rho_max)
         assert moved.penalty_rate is None and moved.liquidation_rate == rho_max
         np.testing.assert_array_equal(moved.liquidation(q), fresh.liquidation(q))
     # a given rate stays the rate, within the cap of every market it meets
@@ -356,7 +345,7 @@ def test_payoff_keeps_penalty_rate_as_given():
 
 
 def test_closed_form_penalty_needs_final_volume():
-    base = make_reference_payoff()
+    base = reference_payoff()
     market = MarketParams(S0=45.0, sigma=0.6, rho_max=5.0,
                           volume=VolumeCurve([0.0, 2.0], [4e6, 0.0]))
     with pytest.raises(ValueError):
@@ -367,16 +356,14 @@ def test_closed_form_penalty_needs_final_volume():
 
 def test_payoff_needs_an_execution_cost():
     # the solvers take the Hamiltonian of this one cost family in closed form
-    base = make_reference_payoff()
+    base = reference_payoff()
     with pytest.raises(TypeError, match="ExecutionCost"):
         PayoffSpec(base.contract, base.market, lambda rho: 0.1 * abs(rho) ** 1.75)
 
 
 def test_payoff_terminal_with_impact_pinned():
     # k > 0 terminal on the shifted price axis S_tilde; frozen values
-    contract = OptionContract(K=45.0, T=63.0, N=2e7, gamma=2e-7, q0=1e7)
-    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0, k=3e-7)
-    p = PayoffSpec(contract=contract, market=market, cost=REF_COST)
+    p = reference_payoff(k=3e-7)
     assert p.terminal(1e7, 45.0) == 18943701.524882108   # q = q0, at the strike
     assert p.terminal(2e7, 44.0) == -5000000.0           # exercised: observed 47
     assert p.terminal(5e6, 44.0) == 16746850.762441054   # abandoned: observed 42.5
@@ -470,14 +457,14 @@ def test_volume_curve_eq_and_repr():
     assert const != 4e6  # a non-curve compares unequal rather than raising
     assert repr(const).startswith("VolumeCurve.constant(")
     assert repr(piecewise) == "VolumeCurve([0.0, 10.0], [4000000.0, 2000000.0])"
-    for curve in (const, piecewise):  # numpy 2 writes the constant as np.float64(...)
-        assert eval(repr(curve), {"VolumeCurve": VolumeCurve, "np": np}) == curve
+    flat_two = VolumeCurve([0.0, 10.0], [4e6, 4e6])  # equal values, two segments
+    for curve in (const, piecewise, flat_two):  # plain Python floats: no np. name
+        assert eval(repr(curve), {"VolumeCurve": VolumeCurve}) == curve
 
 
 def test_rescale_nominal_mapping():
-    contract = OptionContract(K=45.0, T=63.0, N=2e7, gamma=2e-7, q0=1e7)
-    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0, k=3e-7)
-    c2, m2 = rescale_nominal(contract, market)
+    pay = reference_payoff(k=3e-7)
+    c2, m2 = rescale_nominal(pay.contract, pay.market)
     assert c2.N == 1.0
     assert c2.gamma == pytest.approx(4.0)
     assert c2.q0 == pytest.approx(0.5)
@@ -488,10 +475,8 @@ def test_rescale_nominal_mapping():
 
 def test_rescale_penalty_consistency():
     # penalty rebuilt from mapped parameters equals ell(N*q)/N
-    contract = OptionContract(K=45.0, T=63.0, N=2e7, gamma=2e-7, q0=1e7)
-    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0)
-    p1 = PayoffSpec(contract=contract, market=market, cost=REF_COST)
-    c2, m2 = rescale_nominal(contract, market)
+    p1 = reference_payoff()
+    c2, m2 = rescale_nominal(p1.contract, p1.market)
     p2 = PayoffSpec(contract=c2, market=m2, cost=REF_COST)
     q = np.linspace(0, 1, 11)
     assert np.allclose(p2.liquidation(q), p1.liquidation(q * 2e7) / 2e7, rtol=1e-12)

@@ -12,33 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from liqhedge.model import (
-    ExecutionCost,
-    MarketParams,
-    OptionContract,
-    PayoffSpec,
-    VolumeCurve,
-    bachelier_price,
-    optimal_rate,
-)
+from liqhedge.model import bachelier_price, optimal_rate
 from liqhedge.pde import (
     GridSpec,
     SchemeConfig,
     solve_theta,
 )
-
-
-def reference_payoff(**over):
-    kw = dict(K=45.0, T=63.0, N=2e7, gamma=2e-7, q0=1e7, settlement="physical")
-    kw.update({k: over.pop(k) for k in list(over) if k in kw})
-    contract = OptionContract(**kw)
-    mkw = dict(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0, mu=0.0, r=0.0, k=0.0)
-    mkw.update({k: over.pop(k) for k in list(over) if k in mkw})
-    mkw["volume"] = VolumeCurve.constant(mkw["volume"])
-    market = MarketParams(**mkw)
-    cost = over.pop("cost", ExecutionCost(0.1, 0.75, 0.0))
-    assert not over, f"unused overrides: {over}"
-    return PayoffSpec(contract, market, cost)
+from oracles import reference_payoff
 
 
 def small_grid(pay, n_S=61, n_q=31, n_t=32):
@@ -54,12 +34,9 @@ def test_frozen_inventory_closed_form():
     # rho_max = 0 and zero terminal data leave only the variance charge of
     # the held inventory: theta(t, q, S) = gamma sigma^2 q^2 (T - t) / 2
     gamma, sigma, T = 3e-7, 0.6, 4.0
-    contract = OptionContract(K=45.0, T=T, N=0.0, gamma=gamma, q0=0.0,
-                              settlement="cash")
-    market = MarketParams(S0=45.0, sigma=sigma,
-                          volume=VolumeCurve.constant(4e6), rho_max=0.0)
-    pay = PayoffSpec(contract, market, ExecutionCost(0.1, 0.75),
-                     penalty_rate=1.0, penalty=lambda q: np.zeros_like(q))
+    pay = reference_payoff(T=T, N=0.0, gamma=gamma, q0=0.0, settlement="cash",
+                           sigma=sigma, rho_max=0.0, penalty_rate=1.0,
+                           penalty=lambda q: np.zeros_like(q))
     grid = GridSpec(40.0, 50.0, 11, -2e6, 2e6, 9, 16)
     surf = solve_theta(pay, grid, keep_values=True)
     tt, qq = np.meshgrid(surf.t_grid, grid.q, indexing="ij")
@@ -147,9 +124,9 @@ def test_surface_queries(reference_surface):
     surf = reference_surface
     v = surf.price(0.0, 1e7, 45.0)
     assert surf.price(0.0, np.array([1e7]), np.array([45.0]))[0] == pytest.approx(v)
-    with pytest.raises(ValueError):
-        surf.price(0.13, 1e7, 45.0)  # off the time grid
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not on the time grid"):
+        surf.price(0.13, 1e7, 45.0)
+    with pytest.raises(ValueError, match="outside the grid hull"):
         surf.price(0.0, 1e7, surf.grid.S_max + 1.0)
     assert surf.price(0.0, 1e7, 45.0) == v
 
@@ -227,9 +204,9 @@ def test_policy_codes_decode_by_level_and_by_node(lean_and_full_surface):
         idx = rng.integers(0, level.size, size=(4, 50))
         assert control.take(n, idx).tobytes() == control[n].ravel()[idx].tobytes()
     assert control[-1].tobytes() == control[len(control.tables) - 1].tobytes()
-    with pytest.raises(ValueError):
-        control.codes[0, 0, 0] = 0  # the store is read-only
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="read-only"):
+        control.codes[0, 0, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
         control.tables[0][0] = 1.0
 
 
@@ -258,11 +235,11 @@ def test_codes_widen_past_the_int16_worst_case():
 # ---------------------------------------------------------------------------
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need S_max > S_min"):
         GridSpec(50.0, 40.0, 11, 0.0, 1.0, 5, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid too small"):
         GridSpec(40.0, 50.0, 2, 0.0, 1.0, 5, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need q_max > q_min"):
         GridSpec(40.0, 50.0, 11, 0.0, 0.0, 5, 4)
     for bad in (float("-inf"), float("inf")):
         for field in ("S_min", "S_max", "q_min", "q_max"):
@@ -270,18 +247,16 @@ def test_grid_validation():
                       field: bad}
             with pytest.raises(ValueError, match=field):
                 GridSpec(n_S=11, n_q=5, n_t=4, **bounds)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_controls must be odd"):
         SchemeConfig(n_controls=40)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="default grid needs N > 0"):
         GridSpec.default(reference_payoff(N=0.0, q0=0.0))
 
 
 def test_non_finite_terminal_value_raises():
     # checked before the first substep, so the report names the terminal
     # condition, not the substep the inf first passed through
-    base = reference_payoff(T=4.0)
-    pay = PayoffSpec(base.contract, base.market, base.cost,
-                     penalty=lambda q: np.where(q > 1.5e7, np.inf, 0.0))
+    pay = reference_payoff(T=4.0, penalty=lambda q: np.where(q > 1.5e7, np.inf, 0.0))
     with pytest.raises(FloatingPointError, match="non-finite terminal value at q="):
         solve_theta(pay, small_grid(pay, n_S=21, n_q=11, n_t=4))
 
@@ -294,7 +269,7 @@ def test_default_grid_takes_each_given_bound_and_any_positive_step_rate():
     assert GridSpec.default(pay, steps_per_day=2.5).n_t == 10
     assert GridSpec.default(pay, steps_per_day=0.01).n_t == 1
     for bad in (0.0, -3.0, float("nan")):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="steps_per_day must be > 0"):
             GridSpec.default(pay, steps_per_day=bad)
     # with N = 0 only the q bounds need to be given
     flat = reference_payoff(T=4.0, N=0.0, q0=0.0)

@@ -13,14 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liqhedge.model import (
-    ExecutionCost,
-    MarketParams,
-    OptionContract,
-    PayoffSpec,
-    VolumeCurve,
-    bachelier_price,
-)
+from liqhedge.model import ExecutionCost, VolumeCurve, bachelier_price
 from liqhedge import simulate
 from liqhedge.pde import GridSpec, solve_theta
 from liqhedge.simulate import (
@@ -34,17 +27,7 @@ from liqhedge.simulate import (
     _twap_matrix,
 )
 from liqhedge.tree import TreeConfig, solve_tree
-from oracles import wealth_decomposition_check
-
-COST = ExecutionCost(0.1, 0.75)
-
-
-def make_payoff(sigma=0.6, S0=45.0, q0=1e7, rho_max=5.0, cost=COST, k=0.0,
-                settlement="physical", penalty=None):
-    contract = OptionContract(K=45.0, T=63.0, N=2e7, gamma=2e-7, q0=q0,
-                              settlement=settlement)
-    market = MarketParams(S0=S0, sigma=sigma, volume=4e6, rho_max=rho_max, k=k)
-    return PayoffSpec(contract, market, cost, penalty=penalty)
+from oracles import reference_payoff, wealth_decomposition_check
 
 
 def zero_penalty(q):
@@ -62,7 +45,7 @@ def fee_free(pay):
 
 
 def test_price_paths_shape_start_and_moments():
-    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0, mu=0.02)
+    market = reference_payoff(mu=0.02).market
     cfg = PathConfig(n_paths=20_000, n_obs=64, seed=3)
     T = 63.0
     S = simulate_price_paths(market, cfg, T)
@@ -78,7 +61,7 @@ def test_price_paths_shape_start_and_moments():
 
 
 def test_price_paths_counter_seeding():
-    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0)
+    market = reference_payoff().market
     big = simulate_price_paths(market, PathConfig(n_paths=5, n_obs=10, seed=7), 63.0)
     small = simulate_price_paths(market, PathConfig(n_paths=2, n_obs=10, seed=7), 63.0)
     # path i depends only on (seed, i), not on the batch size
@@ -175,19 +158,19 @@ def test_twap_fill_zero_length_interval_is_midpoint():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need n_paths >= 2 and n_obs >= 2"):
         PathConfig(n_paths=0)
     with pytest.raises(ValueError, match="n_paths >= 2"):
         PathConfig(n_paths=1)  # a one-sample cost variance is undefined
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need n_paths >= 2 and n_obs >= 2"):
         PathConfig(n_obs=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="M must be >= 2"):
         PathConfig(M=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="variance must be nonnegative"):
         PnLStats("delta", 10, 0.0, -1.0, 0.0, 10, 0)
     for bad in (math.inf, -math.inf, math.nan):
         for stats in ((bad, 1.0, 0.0), (0.0, bad, 0.0), (0.0, 1.0, bad)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="non-finite cost statistics"):
                 PnLStats("delta", 10, *stats, 10, 0)
 
 
@@ -196,17 +179,17 @@ def test_config_validation():
 
 
 def test_delta_hedge_requires_M_and_flat_market():
-    pay = make_payoff()
-    with pytest.raises(ValueError):
+    pay = reference_payoff()
+    with pytest.raises(ValueError, match="PathConfig.M is required"):
         run_delta_hedge(pay, PathConfig(n_paths=10))
-    with pytest.raises(ValueError):
-        run_delta_hedge(make_payoff(k=1e-7), PathConfig(n_paths=10, M=10))
+    with pytest.raises(ValueError, match="defined for k = 0"):
+        run_delta_hedge(reference_payoff(k=1e-7), PathConfig(n_paths=10, M=10))
 
 
 def test_delta_hedge_deep_itm_tiny_vol():
     # delta pins at 1, so no rebalancing trades happen and the terminal
     # stock leg cancels path by path: cost = N*(S0 - K) exactly
-    pay = make_payoff(sigma=1e-12, S0=50.0, q0=0.0)
+    pay = reference_payoff(sigma=1e-12, S0=50.0, q0=0.0)
     st = run_delta_hedge(pay, PathConfig(n_paths=50, seed=1, M=10))
     assert st.mean_cost == pytest.approx(2e7 * 5.0, rel=1e-12)
     assert st.var_cost < 1e-6
@@ -215,7 +198,7 @@ def test_delta_hedge_deep_itm_tiny_vol():
 
 
 def test_delta_hedge_execution_fees_increase_cost():
-    pay = make_payoff(q0=0.0)
+    pay = reference_payoff(q0=0.0)
     cfg = PathConfig(n_paths=500, seed=2, M=20)
     with_fees = run_delta_hedge(pay, cfg)
     without = run_delta_hedge(fee_free(pay), cfg)
@@ -231,7 +214,7 @@ def test_delta_hedge_frictionless_variance_decreases_in_M():
     # with L = 0 and no liquidation penalty the only cost is discrete
     # hedging error, whose variance must fall monotonically in M and whose
     # mean must sit on the Bachelier premium
-    pay = make_payoff(q0=0.0, cost=ExecutionCost(0.0, 0.75), penalty=zero_penalty)
+    pay = reference_payoff(q0=0.0, eta=0.0, penalty=zero_penalty)
     premium = 2e7 * bachelier_price(45.0, 45.0, 0.6, 63.0)
     variances = []
     for M in (10, 20, 40, 80, 160, 320):
@@ -245,17 +228,14 @@ def test_delta_hedge_frictionless_variance_decreases_in_M():
 
 
 def test_delta_hedge_determinism():
-    pay = make_payoff(q0=0.0)
+    pay = reference_payoff(q0=0.0)
     cfg = PathConfig(n_paths=300, seed=9, M=15)
     assert run_delta_hedge(pay, cfg) == run_delta_hedge(pay, cfg)
 
 
 def test_delta_hedge_rejects_trading_on_zero_volume():
     # the ladder ignores the cap, so it trades on [21, 42) where V = 0
-    pay = make_payoff()
-    market = MarketParams(S0=45.0, sigma=0.6, rho_max=5.0,
-                          volume=VolumeCurve([0.0, 21.0, 42.0], [4e6, 0.0, 4e6]))
-    pay = PayoffSpec(pay.contract, market, COST)
+    pay = reference_payoff(volume=VolumeCurve([0.0, 21.0, 42.0], [4e6, 0.0, 4e6]))
     cfg = PathConfig(n_paths=20, seed=1, M=3)
     with pytest.raises(ValueError, match=r"zero-volume interval \[21, 42\)"):
         run_delta_hedge(pay, cfg)
@@ -268,7 +248,7 @@ def test_delta_hedge_rejects_trading_on_zero_volume():
 def test_policy_hedge_no_trades_at_zero_cap():
     # rho_max = 0 makes trading structurally impossible: the tree controls
     # are all zero and the cost reduces to holding q0 against the payoff
-    pay = make_payoff(rho_max=0.0, penalty=zero_penalty)
+    pay = reference_payoff(rho_max=0.0, penalty=zero_penalty)
     tv = solve_tree(pay, TreeConfig(dt=1.0))
     assert all(not np.any(cm) for cm in tv.control_mult)
 
@@ -285,9 +265,7 @@ def test_policy_hedge_on_a_one_node_inventory_grid():
     # N = 0 with mu = r = 0 and no q bounds leaves the tree one inventory
     # node, so dq = 0: the policy read must not divide by it (the suite
     # turns a RuntimeWarning into an error)
-    contract = OptionContract(K=45.0, T=4.0, N=0.0, gamma=2e-7)
-    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0)
-    tv = solve_tree(PayoffSpec(contract, market, COST), TreeConfig(dt=1.0))
+    tv = solve_tree(reference_payoff(T=4.0, N=0.0, q0=0.0), TreeConfig(dt=1.0))
     assert tv.qgrid.size == 1 and tv.dq == 0.0
     st = run_policy_hedge(tv.payoff, tv, PathConfig(n_paths=50, n_obs=5, seed=3))
     assert st.excluded == 0 and st.n == 50
@@ -295,22 +273,22 @@ def test_policy_hedge_on_a_one_node_inventory_grid():
 
 
 def test_policy_hedge_solution_must_match_path_grid():
-    pay = make_payoff()
+    pay = reference_payoff()
     tv = solve_tree(pay, TreeConfig(dt=1.0))  # 63 levels
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="time grid must match the path grid"):
         run_policy_hedge(pay, tv, PathConfig(n_paths=10, n_obs=253))
     surf = solve_theta(pay, GridSpec(40.0, 50.0, 16, 0.0, 2e7, 9, 12))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="time grid must match the path grid"):
         run_policy_hedge(pay, surf, PathConfig(n_paths=10, n_obs=14))
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="must be a ThetaSurface or TreeValue"):
         run_policy_hedge(pay, object(), PathConfig(n_paths=10, n_obs=64))
-    with pytest.raises(ValueError):
-        run_policy_hedge(make_payoff(k=1e-7), tv, PathConfig(n_paths=10, n_obs=64))
+    with pytest.raises(ValueError, match="hedging runs on k = 0 problems"):
+        run_policy_hedge(reference_payoff(k=1e-7), tv, PathConfig(n_paths=10, n_obs=64))
 
 
 def test_policy_hedge_hull_exits_are_excluded():
     # deliberately tight price hull: leavers must be dropped and counted
-    pay = make_payoff()
+    pay = reference_payoff()
     surf = solve_theta(pay, GridSpec(38.0, 52.0, 57, 0.0, 2e7, 41, 63))
     cfg = PathConfig(n_paths=400, n_obs=64, seed=4)
     st = run_policy_hedge(pay, surf, cfg)
@@ -321,7 +299,7 @@ def test_policy_hedge_hull_exits_are_excluded():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_policy_hedge_raises_when_every_path_leaves_the_hull():
-    pay = make_payoff()
+    pay = reference_payoff()
     surf = solve_theta(pay, GridSpec(44.9, 45.1, 5, 0.0, 2e7, 9, 63))
     with pytest.raises(ValueError, match="every path left"):
         run_policy_hedge(pay, surf, PathConfig(n_paths=50, n_obs=64, seed=4))
@@ -331,7 +309,7 @@ def test_policy_hedge_raises_when_every_path_leaves_the_hull():
 def test_policy_hedge_raises_when_one_path_stays_in_the_hull():
     # 2 of 3 paths leave the price hull [42, 48]; the one left has no
     # sample variance, which used to be reported as 0
-    pay = make_payoff()
+    pay = reference_payoff()
     surf = solve_theta(pay, GridSpec(42.0, 48.0, 5, 0.0, 2e7, 9, 63))
     with pytest.raises(ValueError, match="one path stayed"):
         run_policy_hedge(pay, surf, PathConfig(n_paths=3, n_obs=64, seed=3))
@@ -341,10 +319,7 @@ def test_hedge_statistics_pinned():
     # bit-for-bit regression of both runners on one small drifting,
     # compounding problem: the delta ladder with and without fees, and the
     # policy read off a tree and off a PDE surface (21x11 grid)
-    contract = OptionContract(K=45.0, T=4.0, N=2e7, gamma=2e-7, q0=1e7)
-    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0,
-                          mu=0.05 / 252, r=0.02 / 252)
-    pay = PayoffSpec(contract, market, ExecutionCost(0.1, 0.75, 0.01))
+    pay = reference_payoff(T=4.0, mu=0.05 / 252, r=0.02 / 252, psi=0.01)
     cfg = PathConfig(n_paths=200, n_obs=5, seed=1, M=4)
     tv = solve_tree(pay, TreeConfig(dt=1.0, alpha=1.5, dq=1e5, q_min=0.0, q_max=2e7))
     surf = solve_theta(pay, GridSpec(S_min=36.0, S_max=54.0, n_S=21, q_min=-2e6,
@@ -368,10 +343,7 @@ def test_hedge_statistics_pinned():
 
 def block_problem():
     """Drift, compounding, psi > 0 and a PDE price hull some paths leave."""
-    contract = OptionContract(K=45.0, T=4.0, N=2e7, gamma=2e-7, q0=1e7)
-    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0,
-                          mu=0.05 / 252, r=0.02 / 252)
-    pay = PayoffSpec(contract, market, ExecutionCost(0.1, 0.75, 0.01))
+    pay = reference_payoff(T=4.0, mu=0.05 / 252, r=0.02 / 252, psi=0.01)
     tv = solve_tree(pay, TreeConfig(dt=0.5, alpha=1.5, dq=1e6, q_min=0.0,
                                     q_max=2e7))
     surf = solve_theta(pay, GridSpec(S_min=42.5, S_max=47.5, n_S=21, q_min=-2e6,
@@ -435,9 +407,8 @@ def test_blocks_give_the_one_block_statistics(monkeypatch):
 def test_zero_volume_error_names_the_earliest_interval_of_all_blocks(monkeypatch):
     # paths 0-2 trade on the zero-volume [2, 3), paths 3-5 on the earlier
     # [1, 2): only the second block reaches the interval one block names
-    market = MarketParams(S0=45.0, sigma=0.6, rho_max=5.0,
-                          volume=VolumeCurve([0.0, 1.0, 3.0], [4e6, 0.0, 4e6]))
-    pay = PayoffSpec(OptionContract(K=45.0, T=4.0, N=2e7, gamma=2e-7), market, COST)
+    pay = reference_payoff(T=4.0, q0=0.0,
+                           volume=VolumeCurve([0.0, 1.0, 3.0], [4e6, 0.0, 4e6]))
     cfg = PathConfig(n_paths=6, n_obs=5, seed=0)
 
     def hedge_block(S, twap, rows):
@@ -454,9 +425,7 @@ def test_zero_volume_error_names_the_earliest_interval_of_all_blocks(monkeypatch
             simulate._walk(pay, cfg, hedge_block)
 
     # the delta ladder, one path a block, names the interval one block does
-    gap = MarketParams(S0=45.0, sigma=0.6, rho_max=5.0,
-                       volume=VolumeCurve([0.0, 21.0, 42.0], [4e6, 0.0, 4e6]))
-    pay = PayoffSpec(make_payoff().contract, gap, COST)
+    pay = reference_payoff(volume=VolumeCurve([0.0, 21.0, 42.0], [4e6, 0.0, 4e6]))
     blocks_of(monkeypatch, 1, 4, ladder=3)
     with pytest.raises(ValueError, match=r"zero-volume interval \[21, 42\)"):
         run_delta_hedge(pay, PathConfig(n_paths=5, seed=1, M=3))
@@ -466,9 +435,7 @@ def test_policy_run_holds_a_block_not_the_whole_run():
     # tracemalloc sees numpy's buffers: 6,000 paths x 253 points would take
     # 23.2 MiB as whole-run price and TWAP matrices; the walk holds one
     # block's 8 MiB of them and a few full-length vectors
-    contract = OptionContract(K=45.0, T=2.52, N=2e7, gamma=2e-7, q0=1e7)
-    market = MarketParams(S0=45.0, sigma=0.6, volume=2e7, rho_max=5.0)
-    pay = PayoffSpec(contract, market, COST)
+    pay = reference_payoff(T=2.52, volume=2e7)
     tv = solve_tree(pay, TreeConfig(dt=0.01, dq=1e6, q_min=0.0, q_max=2e7))
     cfg = PathConfig(n_paths=6000, n_obs=253, seed=0)
     assert 2 * 8 * cfg.n_paths * cfg.n_obs > 2.5 * simulate._BLOCK_BYTES
@@ -486,9 +453,7 @@ def test_policy_speeds_read_both_engines():
     # the per-path policy read the simulator calls: q outside either grid
     # and S outside the PDE hull clear `alive`; the tree clips S to its
     # nodes; inside, each engine returns its own scalar policy read
-    contract = OptionContract(K=45.0, T=4.0, N=2e7, gamma=2e-7, q0=1e7)
-    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0)
-    pay = PayoffSpec(contract, market, COST)
+    pay = reference_payoff(T=4.0)
     tv = solve_tree(pay, TreeConfig(dt=1.0, alpha=1.5, dq=1e5, q_min=0.0, q_max=2e7))
     surf = solve_theta(pay, GridSpec(S_min=36.0, S_max=54.0, n_S=21, q_min=-2e6,
                                      q_max=2.2e7, n_q=11, n_t=4))
@@ -532,9 +497,7 @@ def test_policy_speeds_drop_nan_paths(small_surface):
     # either engine, and no NaN or inf reaches an int cast (no warning);
     # the finite path reads its scalar policy; the tree clips +-inf S to
     # its top and bottom nodes
-    contract = OptionContract(K=45.0, T=4.0, N=2e7, gamma=2e-7, q0=1e7)
-    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0)
-    tv = solve_tree(PayoffSpec(contract, market, COST),
+    tv = solve_tree(reference_payoff(T=4.0),
                     TreeConfig(dt=1.0, alpha=1.5, dq=1e5, q_min=0.0, q_max=2e7))
     surf, level = small_surface, 2
     q, S = np.array([1e7, np.nan, 1e7]), np.array([45.0, 45.0, np.nan])
@@ -559,9 +522,7 @@ def test_policy_speeds_drop_nan_paths(small_surface):
 
 @pytest.fixture(scope="module")
 def small_surface():
-    contract = OptionContract(K=45.0, T=4.0, N=2e7, gamma=2e-7, q0=1e7)
-    market = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0)
-    return solve_theta(PayoffSpec(contract, market, COST),
+    return solve_theta(reference_payoff(T=4.0),
                        GridSpec(S_min=36.0, S_max=54.0, n_S=21, q_min=-2e6,
                                 q_max=2.2e7, n_q=11, n_t=4))
 
@@ -597,8 +558,7 @@ def test_tree_policy_speeds_is_the_point_read():
     # at dt = 0.3 the speed per grid step dq/dt = 1e4/0.3 is inexact, so
     # mult*dq/dt and mult*(dq/dt) differ in the last bit on about 5,900 of
     # the 19,841 trading nodes; the simulator's read must be policy's
-    pay = PayoffSpec(OptionContract(K=45.0, T=3.0, N=2e6, gamma=2e-6, q0=1e6),
-                     MarketParams(S0=45.0, sigma=0.6, volume=4e5, rho_max=5.0), COST)
+    pay = reference_payoff(T=3.0, N=2e6, gamma=2e-6, q0=1e6, volume=4e5)
     tv = solve_tree(pay, TreeConfig(dt=0.3))
     assert tv.dq == 1e4
     for j in range(tv.J):
@@ -616,9 +576,9 @@ def test_tree_policy_speeds_is_the_point_read():
 
 
 def test_wealth_identity_exact_when_not_trading():
-    cost = COST
     # r = 0, sigma > 0: both sides telescope to the same sum
-    m = MarketParams(S0=45.0, sigma=0.5, volume=4e6, rho_max=5.0, mu=0.01)
+    pay = reference_payoff(sigma=0.5, mu=0.01)
+    m, cost = pay.market, pay.cost
     rng = np.random.default_rng(11)
     n = 252
     t = np.linspace(0.0, 63.0, n + 1)
@@ -636,7 +596,7 @@ def test_wealth_identity_exact_when_not_trading():
 
     # a zero-volume interval that does not trade pays nothing (no 0/0)
     gap = VolumeCurve([0, 4, 6], [4e6, 0, 4e6])
-    m3 = MarketParams(S0=45.0, sigma=0.5, volume=gap, rho_max=5.0, mu=0.01)
+    m3 = reference_payoff(sigma=0.5, volume=gap, mu=0.01).market
     t8 = np.linspace(0.0, 8.0, 17)
     S8 = 45.0 + np.concatenate([[0.0], np.cumsum(rng.standard_normal(16))])
     q8 = np.full(17, 1e7)
@@ -645,8 +605,8 @@ def test_wealth_identity_exact_when_not_trading():
 
 @pytest.mark.parametrize("seed, ratio", [(7, 0.6), (21, 0.65), (99, 0.65)])
 def test_wealth_identity_residual_linear_in_dt(seed, ratio):
-    m = MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0,
-                     mu=0.01, r=2e-4)
+    pay = reference_payoff(mu=0.01, r=2e-4)
+    m, cost = pay.market, pay.cost
     n_fine, T = 512, 63.0
     rng = np.random.default_rng(seed)
     W = np.concatenate([[0.0], np.cumsum(
@@ -660,20 +620,21 @@ def test_wealth_identity_residual_linear_in_dt(seed, ratio):
         t, S = t_fine[::stride], S_fine[::stride]
         v = np.full(lev, -1e7 / T)  # linear liquidation of q0
         q = 1e7 + np.concatenate([[0.0], np.cumsum(v * np.diff(t))])
-        residuals.append(abs(wealth_decomposition_check(t, S, q, v, m, COST)))
+        residuals.append(abs(wealth_decomposition_check(t, S, q, v, m, cost)))
     # halving dt halves the residual on the same Brownian path
     for coarse, fine in zip(residuals, residuals[1:]):
         assert fine < ratio * coarse, residuals
 
 
 def test_wealth_identity_validates_inputs():
-    m = MarketParams(S0=45.0, sigma=0.5, volume=4e6, rho_max=5.0)
+    pay = reference_payoff(sigma=0.5)
+    m, cost = pay.market, pay.cost
     t = np.linspace(0.0, 10.0, 6)
     S = np.full(6, 45.0)
     q = np.full(6, 1e6)
-    with pytest.raises(ValueError):
-        wealth_decomposition_check(t, S, q, np.zeros(4), m, COST)
+    with pytest.raises(ValueError, match=r"need len\(S\) = len\(q\)"):
+        wealth_decomposition_check(t, S, q, np.zeros(4), m, cost)
     jump = q.copy()
     jump[3] += 5e5
-    with pytest.raises(ValueError):
-        wealth_decomposition_check(t, S, jump, np.zeros(5), m, COST)
+    with pytest.raises(ValueError, match="inconsistent with the speed schedule"):
+        wealth_decomposition_check(t, S, jump, np.zeros(5), m, cost)

@@ -6,37 +6,15 @@ reference scenario is pinned as a regression value; structural properties
 checked directly.
 """
 
-import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from liqhedge.model import (
-    ExecutionCost,
-    MarketParams,
-    OptionContract,
-    PayoffSpec,
-    VolumeCurve,
-)
+from liqhedge.model import PayoffSpec, VolumeCurve
 from liqhedge.tree import TreeConfig, price_with_initial_exchange, solve_tree
-from oracles import rescale_nominal
-
-
-def reference_payoff(**over):
-    kw = dict(K=45.0, T=63.0, N=2e7, gamma=2e-7, q0=1e7, settlement="physical")
-    ckeys = {k: over.pop(k) for k in list(over) if k in kw}
-    kw.update(ckeys)
-    contract = OptionContract(**kw)
-    mkw = dict(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0)
-    mkw.update({k: over.pop(k) for k in list(over) if k in mkw})
-    market = MarketParams(S0=mkw["S0"], sigma=mkw["sigma"],
-                          volume=VolumeCurve.constant(mkw["volume"]) if not isinstance(mkw["volume"], VolumeCurve) else mkw["volume"],
-                          rho_max=mkw["rho_max"])
-    cost = over.pop("cost", ExecutionCost(0.1, 0.75, 0.0))
-    assert not over, f"unused overrides: {over}"
-    return PayoffSpec(contract, market, cost)
+from oracles import reference_payoff, rescale_nominal
 
 
 # ---------------------------------------------------------------------------
@@ -47,12 +25,9 @@ def test_zero_control_closed_form():
     # no option, no penalty, rho_max = 0: only the variance of the frozen
     # inventory remains and the recursion telescopes level by level
     gamma, sigma, dt, T = 3e-7, 0.6, 0.25, 4.0
-    contract = OptionContract(K=45.0, T=T, N=0.0, gamma=gamma, q0=0.0,
-                              settlement="cash")
-    market = MarketParams(S0=45.0, sigma=sigma,
-                          volume=VolumeCurve.constant(4e6), rho_max=0.0)
-    pay = PayoffSpec(contract, market, ExecutionCost(0.1, 0.75),
-                     penalty_rate=1.0, penalty=lambda q: np.zeros_like(q))
+    pay = reference_payoff(T=T, N=0.0, gamma=gamma, q0=0.0, settlement="cash",
+                           sigma=sigma, rho_max=0.0, penalty_rate=1.0,
+                           penalty=lambda q: np.zeros_like(q))
     cfg = TreeConfig(dt=dt, dq=5e5, q_min=-2e6, q_max=2e6)
     tv = solve_tree(pay, cfg, keep_values=True)
 
@@ -275,8 +250,7 @@ def test_tree_policy_rejects_nan_price(reference_tree):
 
 def test_solves_permanent_impact_pinned():
     # k > 0 runs on the shifted price axis; frozen regression value
-    pay = reference_payoff(T=8.0)
-    pay = dataclasses.replace(pay, market=dataclasses.replace(pay.market, k=3e-7))
+    pay = reference_payoff(T=8.0, k=3e-7)
     tv = solve_tree(pay, TreeConfig(dt=0.5))
     assert price_with_initial_exchange(tv) == 25006088.627682924
 
@@ -312,16 +286,14 @@ def test_rejects_bad_grids():
 
 
 def test_non_finite_terminal_value_raises():
-    base = reference_payoff(T=4.0)
-    pay = dataclasses.replace(base, penalty=lambda q: np.where(q > 1.5e7, np.inf, 0.0))
+    pay = reference_payoff(T=4.0, penalty=lambda q: np.where(q > 1.5e7, np.inf, 0.0))
     with pytest.raises(FloatingPointError, match="non-finite terminal value at node"):
         solve_tree(pay, TreeConfig(dt=1.0))
 
 
 def test_non_finite_message_prints_the_node_as_plain_ints():
     # under numpy 2 a repr of np.argwhere's entries reads "np.int64(0)"
-    base = reference_payoff(T=4.0)
-    pay = dataclasses.replace(base, penalty=lambda q: np.where(q > 1.5e7, np.inf, 0.0))
+    pay = reference_payoff(T=4.0, penalty=lambda q: np.where(q > 1.5e7, np.inf, 0.0))
     with pytest.raises(FloatingPointError) as err:
         solve_tree(pay, TreeConfig(dt=1.0))
     assert str(err.value) == "non-finite terminal value at node (0, 151)"
