@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .minplus import shift_min, take_cheaper, trade_ladder
+from .minplus import ladder_by_volume, shift_min, take_cheaper
 from .model import (_level_of, _overflow_of, _require_finite, _require_finite_values,
                     optimal_rate)
 
@@ -264,13 +264,56 @@ def _step_B(theta: np.ndarray, qcol: np.ndarray, dS: float, coef: float,
     return theta
 
 
+def _take_interpolated(theta, best, code, rates, first, cost, V, dt, dq):
+    """take_cheaper of every off-node rate, rates[r] writing code first + r.
+
+    A rate reads theta(q + rho*V*dt) as (1-f)*theta[i+w] + f*theta[i+w+1].
+    Each distinct weight c in {f, 1-f} multiplies the whole level once and
+    is dropped after the last rate that reads it; a rate adds its cost and
+    two slices of those products into one reused buffer. Products are
+    elementwise and run_cost + x == x + run_cost, so every bit is that of
+    run_cost + (1-f)*theta[slice] + f*theta[slice] built per rate."""
+    nq = theta.shape[0]
+    reads = []  # (code, rho, w, f, lo, hi) of each off-node rate with a source node
+    for r, rho in enumerate(rates, first):
+        s = rho * V * dt / dq
+        w = math.floor(s)
+        f = s - w
+        if f < 1e-12 or 1.0 - f < 1e-12:
+            continue                       # node-aligned, already covered
+        lo = max(0, -w)                    # smallest valid source-node start
+        hi = nq - max(0, w + 1)
+        if hi > lo:
+            reads.append((r, rho, w, f, lo, hi))
+    last = {}  # weight c -> index of the last read that multiplies by c
+    for k, (_, _, _, f, _, _) in enumerate(reads):
+        last[1.0 - f] = last[f] = k
+    scaled = {}  # weight c -> c*theta, while a later read still needs it
+    cand = np.empty_like(theta[1:])
+    mask = np.empty(cand.shape, dtype=bool)
+    for k, (r, rho, w, f, lo, hi) in enumerate(reads):
+        weights = {1.0 - f, f}
+        for c in weights:
+            if c not in scaled:
+                scaled[c] = c * theta
+        buf = cand[:hi - lo]
+        np.add(scaled[1.0 - f][lo + w: hi + w], V * cost(rho) * dt, out=buf)
+        buf += scaled[f][lo + w + 1: hi + w + 1]
+        take_cheaper(buf, best[lo:hi], code[lo:hi], r, mask[:hi - lo])
+        for c in weights:
+            if last[c] == k:
+                del scaled[c]
+
+
 def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
-            V: float, dt: float, rates: np.ndarray, guess, code: np.ndarray):
+            V: float, dt: float, rates: np.ndarray, ladder, guess, code: np.ndarray):
     """Semi-Lagrangian trading substep over the nonzero control `rates`
-    (|rho| ascending, negative first); returns (new theta, the level's speed
-    table, the node-aligned shifts or None) and writes each node's index into
-    that table to `code`. `guess`, the node-aligned shifts of the step after
-    (or None), starts `shift_min`'s search."""
+    (|rho| ascending, negative first) and the whole-step trade `ladder` at
+    this V; returns (new theta, the level's speed table, the node-aligned
+    shifts or None) and writes each node's index into that table to `code`.
+    `guess`, the node-aligned shifts of the step after (or None), starts
+    `shift_min`'s search. The off-node rates interpolate theta from one
+    product c*theta per distinct weight c (`_take_interpolated`)."""
     nq = theta.shape[0]
     dq = qgrid[1] - qgrid[0]
     if rho_max <= 0 or V <= 0:
@@ -281,27 +324,12 @@ def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
     # participation cap, exact (no interpolation); without these the min
     # cannot park inventory on the value kink at q = 0 from every node and
     # the surface loses discrete convexity in q
-    ladder = trade_ladder(cost, rho_max, V, dt, dq, nq)
     m_cap = len(ladder)
     best, shift = shift_min(theta, [V * rate * dt for rate in ladder], guess)
     code[...] = shift
     code += m_cap  # shift w is code w + m_cap, rate r code 2*m_cap + 1 + r
     table = [np.arange(-m_cap, m_cap + 1) * dq / (V * dt) * V, rates * V]
-
-    for r, rho in enumerate(rates, 2 * m_cap + 1):
-        run_cost = V * cost(rho) * dt
-        s = rho * V * dt / dq
-        w = math.floor(s)
-        f = s - w
-        if f < 1e-12 or 1.0 - f < 1e-12:
-            continue                       # node-aligned, already covered
-        lo = max(0, -w)                    # smallest valid source-node start
-        hi = nq - max(0, w + 1)
-        if hi <= lo:
-            continue
-        cand = run_cost + (1.0 - f) * theta[lo + w: hi + w] \
-            + f * theta[lo + w + 1: hi + w + 1]
-        take_cheaper(cand, best[lo:hi], code[lo:hi], r)
+    _take_interpolated(theta, best, code, rates, 2 * m_cap + 1, cost, V, dt, dq)
 
     # closed-form candidate from the local slope; when its displacement
     # overshoots the grid the destination is clamped to the edge node, which
@@ -376,6 +404,7 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
                                f"at level {n}, q={qgrid[ij[0]]:.6g}, S={Sgrid[ij[1]]:.6g}")
         return theta
 
+    ladder = ladder_by_volume(payoff.cost, m.rho_max, dt, qgrid[1] - qgrid[0], nq)
     shift = None
     for n in range(grid.n_t - 1, -1, -1):
         tau_new = c.T - n * dt
@@ -385,8 +414,8 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
 
         theta = finite(_step_A(theta, ab, source), "A", n)
         theta = finite(_step_B(theta, qcol, dS, coef, dt), "B", n)
-        theta, tables[n], shift = _step_C(theta, qgrid, payoff.cost, m.rho_max, V,
-                                          dt, rates, shift, codes[n])
+        theta, tables[n], shift = _step_C(theta, qgrid, payoff.cost, m.rho_max, V, dt,
+                                          rates, ladder(V), shift, codes[n])
         finite(theta, "C", n)
         if keep_values or n == 0:
             values[n] = theta

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .minplus import shift_min, trade_ladder
+from .minplus import ladder_by_volume, shift_min
 from .model import _level_of, _overflow_of, _require_finite, _require_finite_values
 
 __all__ = ["TreeConfig", "TreeValue", "solve_tree", "price_with_initial_exchange"]
@@ -226,7 +226,9 @@ def solve_tree(payoff, config: Optional[TreeConfig] = None, keep_values: bool = 
     if keep_values:
         theta[J] = nxt
 
-    d_up, d_mid, d_dn = drift + step, drift, drift - step
+    # q*d of each branch's price move d, one column per branch
+    q_up, q_mid, q_dn = (qgrid[:, None] * d for d in (drift + step, drift, drift - step))
+    ladder = ladder_by_volume(payoff.cost, m.rho_max, dt, dq, nq)
     bmult = None
 
     for j in range(J - 1, -1, -1):
@@ -236,26 +238,30 @@ def solve_tree(payoff, config: Optional[TreeConfig] = None, keep_values: bool = 
         V = float(m.volume.at(j * dt))
         g = gamma * kappa
 
-        # expectation over the three branches, shared by every control
-        z_up = g * (nxt[:, 2:] - qgrid[:, None] * d_up)
-        z_mid = g * (nxt[:, 1:-1] - qgrid[:, None] * d_mid)
-        z_dn = g * (nxt[:, :-2] - qgrid[:, None] * d_dn)
-        zmax = np.maximum(np.maximum(z_up, z_mid), z_dn)
-        lse = zmax + np.log(
-            p_edge * np.exp(z_up - zmax)
-            + p_mid * np.exp(z_mid - zmax)
-            + p_edge * np.exp(z_dn - zmax)
-        )
-        del z_up, z_mid, z_dn, zmax  # freed before the sweep's own temporaries
+        # expectation over the three branches, shared by every control: the
+        # max-subtracted log-sum-exp of z = g*(child - q*d), written in place
+        z_up, z_mid, z_dn = nxt[:, 2:] - q_up, nxt[:, 1:-1] - q_mid, nxt[:, :-2] - q_dn
+        for z in (z_up, z_mid, z_dn):
+            z *= g
+        zmax = np.maximum(z_up, z_mid)
+        np.maximum(zmax, z_dn, out=zmax)
+        for z, p in ((z_up, p_edge), (z_mid, p_mid), (z_dn, p_edge)):
+            z -= zmax
+            np.exp(z, out=z)
+            z *= p
+        z_up += z_mid
+        z_up += z_dn
+        zmax += np.log(z_up, out=z_up)
+        lse = zmax
+        del z, z_up, z_mid, z_dn  # freed before the sweep's own temporaries
 
         # min-plus sweep over whole-step inventory shifts, each node searched
         # from its middle child's trade one level later
-        rates = trade_ladder(payoff.cost, m.rho_max, V, dt, dq, nq)
         guess = None if bmult is None else bmult[:, 1:-1]
-        best, bmult = shift_min(lse, [g * V * dt * rate for rate in rates], guess)
+        best, bmult = shift_min(lse, [g * V * dt * rate for rate in ladder(V)], guess)
         if growth != 0.0:
-            best = best + g * growth * (qgrid[:, None] * tv.node_prices(j)[None, :])
-        nxt = (disc / gamma) * best
+            best += g * growth * (qgrid[:, None] * tv.node_prices(j)[None, :])
+        nxt = np.multiply(best, disc / gamma, out=best)
         ctrl[j] = bmult
         _require_finite_values(nxt.T, lambda node: f"value at level {j}, node {node}")
         if keep_values or j == 0:

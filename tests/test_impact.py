@@ -91,7 +91,7 @@ def test_observed_price_map():
 
 
 def test_engine_name_validated():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown engine 'fd'"):
         solve_with_impact(reference_payoff(**SMALL), "fd")
 
 
@@ -127,10 +127,13 @@ def test_point_reads_share_one_interface(engine):
         for read in (sol.price, sol.policy):
             with pytest.raises(ValueError, match="time grid"):
                 read(t, c.q0, m.S0)
-    for q, S in ((q_axis[-1] + 1e6, m.S0), (math.nan, m.S0), (math.inf, m.S0),
-                 (c.q0, m.S0 + 1e3), (c.q0, math.nan), (c.q0, -math.inf)):
+    bad_q, bad_S = (("is not on the inventory grid", "is not a level-0 tree node")
+                    if engine == "tree" else ("outside the grid hull",) * 2)
+    for q, S, msg in ((q_axis[-1] + 1e6, m.S0, bad_q), (math.nan, m.S0, bad_q),
+                      (math.inf, m.S0, bad_q), (c.q0, m.S0 + 1e3, bad_S),
+                      (c.q0, math.nan, bad_S), (c.q0, -math.inf, bad_S)):
         for read in (sol.price, sol.policy):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=msg):
                 read(0.0, q, S)
 
     # at t = T the tree holds no policy; the surface stores a zero level

@@ -171,6 +171,27 @@ def test_trade_ladder_names_an_overflowing_trade():
         trade_ladder(ExecutionCost(0.1, 0.75), 1e303, 4e6, 1.0, 1e5, 11)
 
 
+@pytest.mark.parametrize("engine", ["tree", "pde"])
+def test_a_solve_builds_each_volume_ladder_once(engine, monkeypatch):
+    # 4e6 comes back after 2e6 and after a segment that cannot trade; a
+    # second solve builds its own ladders, so no cache outlives a solve
+    pay = reference_payoff(T=8.0, volume=VolumeCurve([0, 2, 4, 6], [4e6, 2e6, 0, 4e6]))
+    built = []
+    ladder = minplus.trade_ladder
+
+    def spy(cost, rho_max, V, *args):
+        built.append(V)
+        return ladder(cost, rho_max, V, *args)
+
+    monkeypatch.setattr(minplus, "trade_ladder", spy)
+    for _ in range(2):
+        if engine == "tree":
+            solve_tree(pay, TreeConfig(dt=1.0))
+        else:
+            solve_theta(pay, GridSpec.default(pay, n_S=61, n_q=31, steps_per_day=2))
+    assert sorted(built) == [0.0, 0.0, 2e6, 2e6, 4e6, 4e6]
+
+
 # ---------------------------------------------------------------------------
 # both engines, searched against scanned
 

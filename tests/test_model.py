@@ -280,7 +280,7 @@ def test_package_import_leaves_out_scipy_stats():
 
 
 def test_bachelier_negative_tau_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tau must be >= 0"):
         bachelier_price(45, 45, 0.6, -1.0)
 
 
@@ -348,7 +348,7 @@ def test_closed_form_penalty_needs_final_volume():
     base = reference_payoff()
     market = MarketParams(S0=45.0, sigma=0.6, rho_max=5.0,
                           volume=VolumeCurve([0.0, 2.0], [4e6, 0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="market volume > 0 on the final segment"):
         PayoffSpec(base.contract, market, base.cost)
     # an explicit penalty does not liquidate at the market's volume
     PayoffSpec(base.contract, market, base.cost, penalty=np.abs)
@@ -375,13 +375,13 @@ def test_payoff_terminal_with_impact_pinned():
 # ---------------------------------------------------------------------------
 
 def test_market_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sigma must be > 0"):
         MarketParams(S0=45, sigma=0.0, volume=4e6, rho_max=5.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rho_max must be >= 0"):
         MarketParams(S0=45, sigma=0.6, volume=4e6, rho_max=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"permanent impact \(k > 0\) requires mu = r = 0"):
         MarketParams(S0=45, sigma=0.6, volume=4e6, rho_max=5.0, k=1e-7, mu=0.01)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"permanent impact \(k > 0\) requires mu = r = 0"):
         MarketParams(S0=45, sigma=0.6, volume=4e6, rho_max=5.0, k=1e-7, r=1e-4)
     with pytest.raises(ValueError, match="permanent impact k must be >= 0"):
         MarketParams(S0=45, sigma=0.6, volume=4e6, rho_max=5.0, k=-1e-7)
@@ -391,13 +391,13 @@ def test_market_params_validation():
 
 
 def test_contract_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="T must be > 0"):
         OptionContract(K=45, T=0.0, N=2e7, gamma=2e-7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gamma must be > 0"):
         OptionContract(K=45, T=63, N=2e7, gamma=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"q0 must lie in \[0, N\]"):
         OptionContract(K=45, T=63, N=2e7, gamma=2e-7, q0=3e7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="settlement must be 'physical' or 'cash'"):
         OptionContract(K=45, T=63, N=2e7, gamma=2e-7, settlement="swap")
     with pytest.raises(ValueError, match="nominal N must be >= 0"):
         OptionContract(K=45, T=63, N=-2e7, gamma=2e-7, q0=0.0)
@@ -438,12 +438,12 @@ def test_volume_curve():
     assert v.at(1e9) == 2e6
     assert v.final_value == 2e6
     assert np.allclose(v.at(np.array([0.0, 10.0, 30.0])), [4e6, 0.0, 2e6])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="start times must be finite and strictly increasing"):
         VolumeCurve([0.0, 0.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="volumes must be finite and >= 0"):
         VolumeCurve([0.0], [-1.0])
     for starts in ([float("nan"), 2.0], [float("nan")], [0.0, float("inf")]):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="start times must be finite"):
             VolumeCurve(starts, [1.0] * len(starts))
     with pytest.raises(ValueError, match="at least one segment"):
         VolumeCurve([], [])

@@ -12,7 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from liqhedge.model import bachelier_price, optimal_rate
+from liqhedge import pde
+from liqhedge.minplus import shift_min, take_cheaper, trade_ladder
+from liqhedge.model import VolumeCurve, bachelier_price, optimal_rate
 from liqhedge.pde import (
     GridSpec,
     SchemeConfig,
@@ -114,6 +116,97 @@ def test_more_controls_never_raise_value():
     lo = solve_theta(pay, g, SchemeConfig(n_controls=5))
     hi = solve_theta(pay, g, SchemeConfig(n_controls=81))
     assert hi.price(0.0, 1e7, 45.0) <= lo.price(0.0, 1e7, 45.0) + 1e-6
+
+
+def step_C_per_rate(theta, qgrid, cost, rho_max, V, dt, rates, guess, code):
+    """The trading substep with a fresh (1-f)*theta and f*theta slice per
+    off-node rate and take_cheaper's own mask: the reference that
+    pde._step_C's per-weight products must match bit for bit."""
+    nq = theta.shape[0]
+    dq = qgrid[1] - qgrid[0]
+    if rho_max <= 0 or V <= 0:
+        code.fill(0)
+        return theta.copy(), np.zeros(1), None
+
+    ladder = trade_ladder(cost, rho_max, V, dt, dq, nq)
+    m_cap = len(ladder)
+    best, shift = shift_min(theta, [V * rate * dt for rate in ladder], guess)
+    code[...] = shift
+    code += m_cap
+    table = [np.arange(-m_cap, m_cap + 1) * dq / (V * dt) * V, rates * V]
+
+    for r, rho in enumerate(rates, 2 * m_cap + 1):
+        run_cost = V * cost(rho) * dt
+        s = rho * V * dt / dq
+        w = math.floor(s)
+        f = s - w
+        if f < 1e-12 or 1.0 - f < 1e-12:
+            continue
+        lo = max(0, -w)
+        hi = nq - max(0, w + 1)
+        if hi <= lo:
+            continue
+        cand = run_cost + (1.0 - f) * theta[lo + w: hi + w] \
+            + f * theta[lo + w + 1: hi + w + 1]
+        take_cheaper(cand, best[lo:hi], code[lo:hi], r)
+
+    p = np.empty_like(theta)
+    p[1:-1] = (theta[2:] - theta[:-2]) / (2 * dq)
+    p[0] = (theta[1] - theta[0]) / dq
+    p[-1] = (theta[-1] - theta[-2]) / dq
+    rho_cf = optimal_rate(cost, -p, rho_max)
+    x = np.clip(np.arange(nq)[:, None] + rho_cf * V * dt / dq, 0, nq - 1)
+    rho_used = (x - np.arange(nq)[:, None]) * dq / (V * dt)
+    i0 = np.minimum(x.astype(int), nq - 2)
+    fr = x - i0
+    cand = V * cost(rho_used) * dt + (1 - fr) * np.take_along_axis(theta, i0, 0) \
+        + fr * np.take_along_axis(theta, i0 + 1, 0)
+    won = cand < best
+    np.minimum(cand, best, out=best)
+    first = 2 * m_cap + 1 + rates.size
+    code[won] = np.arange(first, first + np.count_nonzero(won))
+    table.append(rho_used[won] * V)
+    return best, np.concatenate(table), shift
+
+
+# 241 x 121 at 4 steps a day reads the weights 0.25, 0.5 and 0.75 only; on
+# 97 x 37, dq = 2.3e7/36 gives each |rho| a pair of weights no other reads
+STEP_C_CASES = {
+    "241x121": ({}, {}),
+    "121x61-2-a-day": ({}, dict(n_S=121, n_q=61, steps_per_day=2.0)),
+    "97x37": ({}, dict(n_S=97, n_q=37, q_min=-1.3e6, q_max=2.17e7)),
+    "two-volumes": (dict(volume=VolumeCurve([0.0, 1.0], [4e6, 1.5e6])),
+                    dict(n_S=121, n_q=61)),
+}
+
+
+@pytest.mark.parametrize("name", list(STEP_C_CASES))
+def test_step_C_matches_a_product_per_rate_bit_for_bit(name):
+    changes, grid_args = STEP_C_CASES[name]
+    pay = reference_payoff(T=2.0, **changes)
+    m, grid = pay.market, GridSpec.default(pay, **grid_args)
+    dt = pay.contract.T / grid.n_t
+    qgrid = grid.q
+    rates = np.linspace(-m.rho_max, m.rho_max, 41)
+    rates = rates[np.lexsort((rates > 0, np.abs(rates)))]
+    rates = rates[rates != 0.0]
+    values = solve_theta(pay, grid, keep_values=True).values
+    shift = None
+    for n in range(grid.n_t - 1, -1, -1):
+        V = float(m.volume.at(n * dt))
+        ladder = trade_ladder(pay.cost, m.rho_max, V, dt, qgrid[1] - qgrid[0], grid.n_q)
+        for guess in (None, shift):
+            want_code = np.empty(values[n].shape, dtype=np.int16)
+            got_code = np.empty_like(want_code)
+            want = step_C_per_rate(values[n + 1], qgrid, pay.cost, m.rho_max, V, dt,
+                                   rates, guess, want_code)
+            got = pde._step_C(values[n + 1], qgrid, pay.cost, m.rho_max, V, dt,
+                              rates, ladder, guess, got_code)
+            assert got_code.tobytes() == want_code.tobytes()
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+        shift = got[2]
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,17 @@ def test_reference_scenario_bits_pinned():
         "eba90d8f9895b811e8a1074aec8e359322edb0705ce13fab08f92512c44775a2")
 
 
+def test_drift_cash_and_returning_volume_bits_pinned():
+    # r != 0 (the growth term and the discount), cash settlement and a volume
+    # that comes back after a different one and after a segment that cannot
+    # trade, every level bit for bit; the reference pin above has none of these
+    pay = reference_payoff(T=8.0, mu=0.05 / 252, r=0.02 / 252, settlement="cash",
+                           volume=VolumeCurve([0, 2, 4, 6], [4e6, 2e6, 0, 4e6]))
+    tv = solve_tree(pay, TreeConfig(dt=0.5), keep_values=True)
+    assert tree_digest(tv) == (
+        "ec68e01d0d1fbf1ff21b2ca9cce789a77cd659631ee65de173cf5e98cd8eaaaf")
+
+
 @pytest.fixture(scope="module")
 def lean_and_full_tree():
     """The reference scenario at dt = 1, solved lean and with keep_values."""
@@ -211,7 +222,7 @@ def test_node_geometry(reference_tree):
         assert len(S) == 2 * j + 1
         for i in (0, len(S) - 1):
             assert tv.node_index(j, S[i]) == i
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not a level-3 tree node"):
         tv.node_index(3, 45.0 + 0.4 * tv.payoff.market.sigma)
 
 
@@ -270,18 +281,18 @@ def test_each_given_q_bound_moves_only_its_own_end():
 
 def test_rejects_bad_grids():
     pay = reference_payoff(T=8.0)
-    with pytest.raises(ValueError):
-        solve_tree(pay, TreeConfig(dt=0.3))          # dt does not divide T
-    with pytest.raises(ValueError):
-        solve_tree(pay, TreeConfig(dt=0.5, dq=3e5))  # dq does not divide the max trade
+    with pytest.raises(ValueError, match="dt must divide T"):
+        solve_tree(pay, TreeConfig(dt=0.3))
+    with pytest.raises(ValueError, match=r"rho_max\*V\*dt must be an integer multiple of dq"):
+        solve_tree(pay, TreeConfig(dt=0.5, dq=3e5))
     bad_q0 = reference_payoff(T=8.0, q0=1e7 + 5e4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="q=10050000.0 is not on the inventory grid"):
         solve_tree(bad_q0, TreeConfig(dt=0.5, dq=1e5))
     with pytest.raises(ValueError, match="q_max must be >= q_min"):
         solve_tree(pay, TreeConfig(q_min=1e7, q_max=0.0))
     for bad in ({"dt": math.inf}, {"alpha": math.inf}, {"dq": math.nan},
                 {"q_min": -math.inf, "q_max": 2e7}):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be finite"):
             TreeConfig(**bad)
 
 
