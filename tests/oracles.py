@@ -1,5 +1,6 @@
 """Test-only helpers: `reference_payoff`, the reference scenario with the
-fields a test changes, and the Hamiltonian transform, the unit-nominal
+fields a test changes, `FROZEN`, the frozen-inventory problem both engines
+solve in closed form, and the Hamiltonian transform, the unit-nominal
 rescaling and the discrete wealth decomposition. The package has no caller
 for any of them; the tests use the last three as independent checks of the
 engines' closed forms, scaling and accounting."""
@@ -37,6 +38,13 @@ def reference_payoff(**changes) -> PayoffSpec:
     cost = rebuilt(changes.pop("cost", base.cost))
     return dataclasses.replace(base, contract=contract, market=market, cost=cost,
                                **changes)
+
+
+# no option, no penalty and rho_max = 0: only the variance charge of the held
+# inventory remains, gamma*sigma^2*q^2*(T - t)/2 in continuous time
+FROZEN = reference_payoff(T=4.0, N=0.0, gamma=3e-7, q0=0.0, settlement="cash",
+                          sigma=0.6, rho_max=0.0, penalty_rate=1.0,
+                          penalty=lambda q: np.zeros_like(q))
 
 
 def hamiltonian(cost: ExecutionCost, p, rho_max: float):

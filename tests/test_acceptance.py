@@ -1,30 +1,31 @@
-"""End-to-end checks of the full stack against frozen reference values.
+"""The paper's numbers, end to end: the reference prices on both engines,
+the sweeps over eta, gamma, q0, rho_max, settlement and permanent impact,
+the Monte-Carlo table and the hedging trajectories along the bundled path.
 
 Every number asserted here was either computed from a closed form in
 this repository or frozen after cross-validation of the two engines;
 tolerances are part of the contract and must not be loosened. The
-expensive solves are shared through fixtures: the reference tree and PDE
-surface per session (conftest.py), the other solves per module.
+structural bounds (closed forms, convexity, price floors, the Hamiltonian)
+are each checked once, in the engine and model test files. The expensive
+solves are shared through fixtures: the reference tree and PDE surface per
+session (conftest.py), the other solves per module.
 """
-
-import math
 
 import numpy as np
 import pytest
 
 from liqhedge.fixtures import reference_path
 from liqhedge.impact import solve_with_impact
-from liqhedge.model import ExecutionCost, bachelier_price
+from liqhedge.model import bachelier_price
 from liqhedge.pde import GridSpec, solve_theta
 from liqhedge.simulate import (
     PathConfig,
     policy_trajectory,
     run_delta_hedge,
     run_policy_hedge,
-    _twap_matrix,
 )
 from liqhedge.tree import TreeConfig, solve_tree
-from oracles import hamiltonian, reference_payoff
+from oracles import reference_payoff
 
 N = 2e7
 
@@ -154,80 +155,6 @@ def test_permanent_impact_price(pde_matched):
 
 
 # ---------------------------------------------------------------------------
-# structural bounds
-
-
-def test_price_dominates_frictionless_bound(reference_surface, reference_tree):
-    g = reference_surface.grid
-    dS = (g.S_max - g.S_min) / (g.n_S - 1)
-    floor = bachelier_price(g.S, 45.0, 0.6, 63.0) - 2.0 * dS
-    assert (reference_surface.values[0] / N >= floor[None, :]).all()
-
-    dS_tree = reference_tree.config.alpha * 0.6 * math.sqrt(reference_tree.config.dt)
-    root = reference_tree.theta[0][:, 0] / N
-    assert (root >= bachelier_price(45.0, 45.0, 0.6, 63.0) - 2.0 * dS_tree).all()
-
-
-def test_value_convex_in_inventory_both_engines(reference_surface, reference_tree):
-    v = reference_surface.values
-    tol = -1e-6 * np.abs(v).max()
-    d2 = v[:, 2:, :] - 2.0 * v[:, 1:-1, :] + v[:, :-2, :]
-    assert d2.min() >= tol
-
-    tol_tree = -1e-6 * max(np.abs(th).max() for th in reference_tree.theta)
-    for th in reference_tree.theta:
-        d2 = th[2:, :] - 2.0 * th[1:-1, :] + th[:-2, :]
-        assert d2.min() >= tol_tree
-
-
-def test_frozen_inventory_closed_forms():
-    gamma, sigma, T = 3e-7, 0.6, 4.0
-    pay = reference_payoff(T=T, N=0.0, gamma=gamma, q0=0.0, settlement="cash",
-                           sigma=sigma, rho_max=0.0, penalty_rate=1.0,
-                           penalty=lambda q: np.zeros_like(q))
-
-    surf = solve_theta(pay, GridSpec(40.0, 50.0, 11, -2e6, 2e6, 9, 16),
-                       keep_values=True)
-    tt, qq = np.meshgrid(surf.t_grid, surf.grid.q, indexing="ij")
-    expect = 0.5 * gamma * sigma**2 * qq**2 * (T - tt)
-    err = np.abs(surf.values - expect[:, :, None]).max()
-    assert err <= 1e-4 * np.abs(expect).max()
-
-    cfg = TreeConfig(dt=0.25, dq=5e5, q_min=-2e6, q_max=2e6)
-    tv = solve_tree(pay, cfg, keep_values=True)
-    a = gamma * tv.qgrid * sigma * math.sqrt(cfg.dt) * cfg.alpha
-    p_edge = 1.0 / (2.0 * cfg.alpha**2)
-    per_step = np.log(p_edge * (np.exp(a) + np.exp(-a)) + (1 - 1 / cfg.alpha**2))
-    for j in range(tv.J + 1):
-        expect = (tv.J - j) * per_step / gamma
-        got = tv.theta[j][:, j]  # the middle node
-        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-9)
-
-
-def test_hamiltonian_matches_brute_force():
-    def brute(cost, p, rho_max):
-        # zooming grid search; three passes leave no resolution excuse
-        lo, hi = -rho_max, rho_max
-        for _ in range(3):
-            rho = np.linspace(lo, hi, 20_001)
-            vals = p * rho - cost(rho)
-            i = int(np.argmax(vals))
-            lo, hi = rho[max(i - 1, 0)], rho[min(i + 1, rho.size - 1)]
-        return float(vals.max())
-
-    rng = np.random.default_rng(12345)
-    for _ in range(100):
-        cost = ExecutionCost(eta=float(rng.uniform(0.01, 0.5)),
-                             phi=float(rng.uniform(0.3, 1.5)),
-                             psi=float(rng.uniform(0.0, 0.05)))
-        rho_max = float(rng.uniform(0.5, 10.0))
-        p = float(rng.uniform(-3.0, 3.0))
-        h, _ = hamiltonian(cost, p, rho_max)
-        reference = brute(cost, p, rho_max)
-        assert abs(h - reference) <= 1e-6 * max(abs(reference), 1e-9)
-
-
-# ---------------------------------------------------------------------------
 # Monte Carlo
 
 
@@ -256,17 +183,6 @@ def test_policy_mean_cost_near_delta_hedge(mc_results):
     delta, policy = mc_results
     anchor = delta[40].mean_cost
     assert abs(policy.mean_cost - anchor) <= 0.10 * abs(anchor)
-
-
-def test_twap_law_moments():
-    n = 1_000_000
-    sigma, dt = 0.6, 0.25
-    # one path, so one generator draws all n fills
-    S = np.where(np.arange(n + 1) % 2 == 0, 44.2, 45.1)[None, :]
-    fills = _twap_matrix(S, sigma, dt, seed=7)
-    mean, var = 0.5 * (44.2 + 45.1), sigma**2 * dt / 12.0
-    assert abs(np.mean(fills) - mean) < 4 * math.sqrt(var / n)
-    assert abs(np.var(fills, ddof=1) - var) < 4 * var * math.sqrt(2.0 / (n - 1))
 
 
 # ---------------------------------------------------------------------------

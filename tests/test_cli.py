@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liqhedge import cli
+from liqhedge import cli, pde
 from liqhedge.cli import load_config, main
 from liqhedge.fixtures import reference_path
 from liqhedge.model import bachelier_price
@@ -188,6 +188,28 @@ def test_huge_finite_input_is_numerical_failure(tmp_path, capsys, engine,
     assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
     name = {"tree": "alpha"}.get(key, key)
     assert re.search(rf"\b{name}\b", err), err
+
+
+def test_cfl_give_up_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pde, "_MAX_SUBSTEPS", 0)
+    cfg = reference_dict(solver={"pde": {"n_S": 21, "n_q": 11}})
+    cfg["contract"]["T"] = 4.0
+    code = main(["price", "--engine", "pde", "--config", write(tmp_path, cfg)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: CFL sub-stepping did not terminate\n")
+
+
+def test_singular_solve_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # LinAlgError is a ValueError, which the solve otherwise reports as a
+    # config error
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(cli, "solve_with_impact", singular)
+    code = main(["price", "--config", write(tmp_path, reference_dict())])
+    assert code == 3
+    assert capsys.readouterr().err == "numerical failure: singular matrix\n"
 
 
 def test_tree_runs_where_the_default_pde_grid_cannot(tmp_path, capsys):

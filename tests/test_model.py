@@ -33,11 +33,16 @@ from oracles import hamiltonian, reference_payoff, rescale_nominal
 # oracles
 # ---------------------------------------------------------------------------
 
-def hamiltonian_grid_oracle(cost, p, rho_max, n=400_001):
-    rho = np.linspace(-rho_max, rho_max, n)
-    vals = p * rho - cost(rho)
-    i = int(np.argmax(vals))
-    return vals[i], rho[i]
+def hamiltonian_zoom_oracle(cost, p, rho_max):
+    # a grid search that zooms in on its best point: three passes of 20,001
+    # rates resolve the maximizer where one grid of 400,001 may not
+    lo, hi = -rho_max, rho_max
+    for _ in range(3):
+        rho = np.linspace(lo, hi, 20_001)
+        vals = p * rho - cost(rho)
+        i = int(np.argmax(vals))
+        lo, hi = rho[max(i - 1, 0)], rho[min(i + 1, rho.size - 1)]
+    return float(vals.max())
 
 
 def penalty_quadrature_oracle(q, cost, rate, gamma, sigma, volume):
@@ -81,19 +86,26 @@ def test_hamiltonian_psi_kink():
     assert H == 0.0 and rho == 0.0
 
 
+# two draw sets: a seed, then each quantity's range in the order it is drawn;
+# the first reaches costlier trades (eta, phi, psi), the second wider caps
+HAMILTONIAN_DRAWS = {
+    20260816: [("p", -3, 3), ("eta", 0.01, 1.0), ("phi", 0.1, 3.0),
+               ("psi", 0.0, 0.5), ("rho_max", 0.1, 8.0)],
+    12345: [("eta", 0.01, 0.5), ("phi", 0.3, 1.5), ("psi", 0.0, 0.05),
+            ("rho_max", 0.5, 10.0), ("p", -3.0, 3.0)],
+}
+
+
 def test_hamiltonian_matches_grid_search_on_random_tuples():
-    rng = np.random.default_rng(20260816)
-    for _ in range(100):
-        p = rng.uniform(-3, 3)
-        eta = rng.uniform(0.01, 1.0)
-        phi = rng.uniform(0.1, 3.0)
-        psi = rng.uniform(0.0, 0.5)
-        rho_max = rng.uniform(0.1, 8.0)
-        c = ExecutionCost(eta, phi, psi)
-        H, rho = hamiltonian(c, p, rho_max)
-        H_ref, _ = hamiltonian_grid_oracle(c, p, rho_max)
-        assert H >= H_ref - 1e-12
-        assert abs(H - H_ref) <= 1e-6 * max(abs(H_ref), 1e-12) + 1e-10
+    for seed, ranges in HAMILTONIAN_DRAWS.items():
+        rng = np.random.default_rng(seed)
+        for draw in range(100):
+            x = {name: rng.uniform(lo, hi) for name, lo, hi in ranges}
+            c = ExecutionCost(x["eta"], x["phi"], x["psi"])
+            H, _ = hamiltonian(c, x["p"], x["rho_max"])
+            H_ref = hamiltonian_zoom_oracle(c, x["p"], x["rho_max"])
+            assert H >= H_ref - 1e-12, (seed, draw)
+            assert abs(H - H_ref) <= 1e-6 * max(abs(H_ref), 1e-9), (seed, draw)
 
 
 def test_hamiltonian_even_nonneg_monotone():
@@ -387,6 +399,11 @@ def test_market_params_validation():
         MarketParams(S0=45, sigma=0.6, volume=4e6, rho_max=5.0, k=-1e-7)
     with pytest.raises(ValueError, match="psi must be >= 0"):
         ExecutionCost(eta=0.1, phi=0.75, psi=-0.01)
+    with pytest.raises(ValueError, match="eta must be >= 0"):
+        ExecutionCost(eta=-0.1, phi=0.75)
+    for phi in (0.0, -0.5):
+        with pytest.raises(ValueError, match=r"phi \(cost exponent\) must be > 0"):
+            ExecutionCost(eta=0.1, phi=phi)
     MarketParams(S0=45, sigma=0.6, volume=4e6, rho_max=5.0, k=1e-7)  # ok
 
 

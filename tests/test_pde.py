@@ -1,10 +1,13 @@
-"""Finite-difference engine tests.
+"""Finite-difference engine tests: the engine's structure, checked in
+every CI job.
 
 With trading disabled and the terminal condition zeroed out the scheme has a
 closed-form solution, exact in both time and space; that pins down the signs
-and placement of every splitting substep. The reference scenario is a frozen
-regression value. Structural checks cover convexity, the price lower bound,
-the control-set size, and grid validation.
+and placement of every splitting substep. This file owns the PDE's
+structural bounds: the closed form, convexity in q at every level, the
+frictionless price floor, and the control set. The reference price is a
+frozen regression value; the paper's numbers are in test_acceptance.py and
+the point reads both engines share in test_impact.py.
 """
 
 import math
@@ -20,7 +23,7 @@ from liqhedge.pde import (
     SchemeConfig,
     solve_theta,
 )
-from oracles import reference_payoff
+from oracles import FROZEN, reference_payoff
 
 
 def small_grid(pay, n_S=61, n_q=31, n_t=32):
@@ -33,16 +36,12 @@ def small_grid(pay, n_S=61, n_q=31, n_t=32):
 # ---------------------------------------------------------------------------
 
 def test_frozen_inventory_closed_form():
-    # rho_max = 0 and zero terminal data leave only the variance charge of
-    # the held inventory: theta(t, q, S) = gamma sigma^2 q^2 (T - t) / 2
-    gamma, sigma, T = 3e-7, 0.6, 4.0
-    pay = reference_payoff(T=T, N=0.0, gamma=gamma, q0=0.0, settlement="cash",
-                           sigma=sigma, rho_max=0.0, penalty_rate=1.0,
-                           penalty=lambda q: np.zeros_like(q))
+    # the scheme is exact here: theta(t, q, S) = gamma sigma^2 q^2 (T - t) / 2
+    c, m = FROZEN.contract, FROZEN.market
     grid = GridSpec(40.0, 50.0, 11, -2e6, 2e6, 9, 16)
-    surf = solve_theta(pay, grid, keep_values=True)
+    surf = solve_theta(FROZEN, grid, keep_values=True)
     tt, qq = np.meshgrid(surf.t_grid, grid.q, indexing="ij")
-    expect = 0.5 * gamma * sigma**2 * qq**2 * (T - tt)
+    expect = 0.5 * c.gamma * m.sigma**2 * qq**2 * (c.T - tt)
     np.testing.assert_allclose(
         surf.values, np.broadcast_to(expect[:, :, None], surf.values.shape),
         rtol=1e-12, atol=1e-6)
@@ -69,9 +68,10 @@ def test_price_above_frictionless_bound(reference_surface):
 
 
 def test_value_convex_in_q(reference_surface):
-    v = reference_surface.values[0]
-    d2 = v[2:, :] - 2 * v[1:-1, :] + v[:-2, :]
-    assert d2.min() >= -1e-6 * np.abs(v).max()
+    v = reference_surface.values
+    d2 = v[:, 2:, :] - 2 * v[:, 1:-1, :] + v[:, :-2, :]
+    assert d2[0].min() >= -1e-6 * np.abs(v[0]).max()
+    assert d2.min() >= -1e-6 * np.abs(v).max()  # every level
 
 
 def test_policy_units_and_sign(reference_surface):
@@ -209,6 +209,18 @@ def test_step_C_matches_a_product_per_rate_bit_for_bit(name):
         shift = got[2]
 
 
+def test_step_B_returns_theta_when_no_slope_gap():
+    theta = np.ones((1, 5))
+    assert pde._step_B(theta, np.zeros((1, 1)), 1.0, 1.0, 0.25) is theta
+
+
+def test_cfl_substeps_past_the_cap_raise(monkeypatch):
+    monkeypatch.setattr(pde, "_MAX_SUBSTEPS", 0)
+    pay = reference_payoff(T=4.0)
+    with pytest.raises(FloatingPointError, match="CFL sub-stepping did not terminate"):
+        solve_theta(pay, small_grid(pay, n_S=21, n_q=11, n_t=4))
+
+
 # ---------------------------------------------------------------------------
 # interpolation and export
 # ---------------------------------------------------------------------------
@@ -217,26 +229,15 @@ def test_surface_queries(reference_surface):
     surf = reference_surface
     v = surf.price(0.0, 1e7, 45.0)
     assert surf.price(0.0, np.array([1e7]), np.array([45.0]))[0] == pytest.approx(v)
-    with pytest.raises(ValueError, match="not on the time grid"):
-        surf.price(0.13, 1e7, 45.0)
-    with pytest.raises(ValueError, match="outside the grid hull"):
-        surf.price(0.0, 1e7, surf.grid.S_max + 1.0)
-    assert surf.price(0.0, 1e7, 45.0) == v
 
 
 def test_surface_point_reads_reject_nan(reference_surface):
-    surf = reference_surface
-    with pytest.raises(ValueError, match="hull"):
-        surf.price(0.0, math.nan, 45.0)
-    with pytest.raises(ValueError, match="hull"):
-        surf.policy(0.0, np.array([1e7, 1e7]), np.array([45.0, math.inf]))
-    # a non-finite or huge time is off the grid: no OverflowError, no cast
-    # error and no overflow warning in t / dt
-    for t in (math.inf, -math.inf, math.nan, 1e308, -1e308):
-        with pytest.raises(ValueError, match="time grid"):
-            surf.price(t, 1e7, 45.0)
-        with pytest.raises(ValueError, match="time grid"):
-            surf.policy(t, 1e7, 45.0)
+    # the scalar reads are checked on both engines in test_impact.py; an
+    # array holding a non-finite price is checked only here
+    q = np.array([1e7, 1e7])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="hull"):
+            reference_surface.policy(0.0, q, np.array([45.0, bad]))
 
 
 def test_terminal_level_matches_payoff(reference_surface):

@@ -1,6 +1,7 @@
 """Monte-Carlo harness tests: path generation, TWAP fills, the two hedging
 runners, and the discrete wealth-decomposition identity."""
 
+import ctypes
 import dataclasses
 import math
 import random
@@ -24,6 +25,7 @@ from liqhedge.simulate import (
     simulate_price_paths,
     _each_state,
     _normal_matrix,
+    _pcg64_states,
     _twap_matrix,
 )
 from liqhedge.tree import TreeConfig, solve_tree
@@ -129,6 +131,18 @@ def test_state_words_round_trip():
         assert bitgen.state["state"] == {"state": state, "inc": inc}
 
 
+def test_state_writer_refuses_memory_without_the_known_words():
+    # a stand-in generator whose state pointer leads to four other words:
+    # the writer raises before its first copy and leaves them as they were
+    words = (ctypes.c_uint64 * 4)(1, 2, 3, 4)
+    pair = ctypes.c_void_p(ctypes.addressof(words))
+    fake = types.SimpleNamespace(
+        ctypes=types.SimpleNamespace(state_address=ctypes.addressof(pair)))
+    with pytest.raises(RuntimeError, match="does not hold"):
+        next(_each_state(fake, _pcg64_states(0, 0, 3, 0)))
+    assert list(words) == [1, 2, 3, 4]
+
+
 # ---------------------------------------------------------------------------
 # TWAP fills
 
@@ -139,14 +153,16 @@ def alternating_path(a, b, n):
 
 
 def test_twap_fill_law():
+    # one path, so one generator draws all n fills
     n = 1_000_000
     sigma, dt = 0.6, 0.25
-    fills = _twap_matrix(alternating_path(45.0, 46.0, n), sigma, dt, seed=42)
-    mean, var = 45.5, sigma**2 * dt / 12.0
+    var = sigma**2 * dt / 12.0
     se_mean = math.sqrt(var / n)
     se_var = var * math.sqrt(2.0 / (n - 1))
-    assert abs(np.mean(fills) - mean) < 4 * se_mean
-    assert abs(np.var(fills, ddof=1) - var) < 4 * se_var
+    for a, b, seed in ((45.0, 46.0, 42), (44.2, 45.1, 7)):
+        fills = _twap_matrix(alternating_path(a, b, n), sigma, dt, seed=seed)
+        assert abs(np.mean(fills) - 0.5 * (a + b)) < 4 * se_mean, seed
+        assert abs(np.var(fills, ddof=1) - var) < 4 * se_var, seed
 
 
 def test_twap_fill_zero_length_interval_is_midpoint():

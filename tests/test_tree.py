@@ -1,9 +1,11 @@
-"""Tree engine tests.
+"""Tree engine tests: the engine's structure, checked in every CI job.
 
 The zero-control recursion has a closed form (independent oracle); the
 reference scenario is pinned as a regression value; structural properties
-(convexity in inventory, scaling with nominal, policy feasibility) are
-checked directly.
+(convexity in inventory, the frictionless and risk-neutral floors, scaling
+with nominal, policy feasibility) are checked directly. The paper's numbers
+are in test_acceptance.py and the scalar point reads both engines share in
+test_impact.py.
 """
 
 import hashlib
@@ -12,9 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from liqhedge.model import PayoffSpec, VolumeCurve
+from liqhedge.model import PayoffSpec, VolumeCurve, bachelier_price
 from liqhedge.tree import TreeConfig, price_with_initial_exchange, solve_tree
-from oracles import reference_payoff, rescale_nominal
+from oracles import FROZEN, reference_payoff, rescale_nominal
 
 
 # ---------------------------------------------------------------------------
@@ -22,20 +24,15 @@ from oracles import reference_payoff, rescale_nominal
 # ---------------------------------------------------------------------------
 
 def test_zero_control_closed_form():
-    # no option, no penalty, rho_max = 0: only the variance of the frozen
-    # inventory remains and the recursion telescopes level by level
-    gamma, sigma, dt, T = 3e-7, 0.6, 0.25, 4.0
-    pay = reference_payoff(T=T, N=0.0, gamma=gamma, q0=0.0, settlement="cash",
-                           sigma=sigma, rho_max=0.0, penalty_rate=1.0,
-                           penalty=lambda q: np.zeros_like(q))
-    cfg = TreeConfig(dt=dt, dq=5e5, q_min=-2e6, q_max=2e6)
-    tv = solve_tree(pay, cfg, keep_values=True)
+    # the frozen inventory's variance charge telescopes level by level
+    gamma, sigma = FROZEN.contract.gamma, FROZEN.market.sigma
+    cfg = TreeConfig(dt=0.25, dq=5e5, q_min=-2e6, q_max=2e6)
+    tv = solve_tree(FROZEN, cfg, keep_values=True)
 
     alpha = cfg.alpha
     p_edge = 1.0 / (2 * alpha**2)
     J = tv.J
-    q = tv.qgrid
-    a = gamma * q * sigma * math.sqrt(dt) * alpha
+    a = gamma * tv.qgrid * sigma * math.sqrt(cfg.dt) * alpha
     per_step = np.log(p_edge * (np.exp(a) + np.exp(-a)) + (1 - 1 / alpha**2))
     for j in range(J + 1):
         expect = (J - j) * per_step / gamma
@@ -135,6 +132,18 @@ def test_root_value_convex_in_q(reference_tree):
     th = tv.theta[0][:, 0]
     d2 = th[2:] - 2 * th[1:-1] + th[:-2]
     assert d2.min() >= -1e-6 * np.abs(th).max()
+    tol = -1e-6 * max(np.abs(level).max() for level in tv.theta)
+    for level in tv.theta:  # every kept level, at every node
+        assert (level[2:] - 2 * level[1:-1] + level[:-2]).min() >= tol
+
+
+def test_root_above_frictionless_bound(reference_tree):
+    # per-share theta_0 at every q dominates the frictionless price up to
+    # two price steps of the lattice
+    tv = reference_tree
+    dS = tv.config.alpha * 0.6 * math.sqrt(tv.config.dt)
+    root = tv.theta[0][:, 0] / 2e7
+    assert (root >= bachelier_price(45.0, 45.0, 0.6, 63.0) - 2.0 * dS).all()
 
 
 def test_root_dominates_risk_neutral_value(reference_tree):
@@ -226,11 +235,6 @@ def test_node_geometry(reference_tree):
         tv.node_index(3, 45.0 + 0.4 * tv.payoff.market.sigma)
 
 
-def test_q_index_rejects_nan(reference_tree):
-    with pytest.raises(ValueError, match="inventory grid"):
-        reference_tree.q_index(math.nan)
-
-
 @pytest.mark.parametrize("rho_max, dq, name", [
     (1e303, 1e5, r"rho_max\*V\*dt/dq"),  # rho_max*V*dt is inf in floats
     (5.0, 1e-303, r"\(q_max - q_min\)/dq"),  # the grid's node count is inf
@@ -241,18 +245,12 @@ def test_overflow_on_a_given_dq_is_named(rho_max, dq, name):
         solve_tree(reference_payoff(T=4.0, rho_max=rho_max), TreeConfig(dt=1.0, dq=dq))
 
 
-def test_tree_policy_rejects_infinite_inventory(reference_tree):
-    tv = reference_tree
-    with pytest.raises(ValueError, match="inventory grid"):
-        tv.policy(tv.t_grid[3], math.inf, 45.0)
-
-
 def test_tree_policy_rejects_nan_price(reference_tree):
-    tv = reference_tree
-    with pytest.raises(ValueError, match="tree node"):
-        tv.policy(tv.t_grid[3], 1e7, math.nan)
-    with pytest.raises(ValueError, match="tree node"):
-        tv.node_index(3, np.array([45.0, math.inf]))
+    # the scalar reads are checked on both engines in test_impact.py; an
+    # array of prices reaches node_index only here
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tree node"):
+            reference_tree.node_index(3, np.array([45.0, bad]))
 
 
 # ---------------------------------------------------------------------------
