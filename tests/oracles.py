@@ -1,9 +1,9 @@
 """Test-only helpers: `reference_payoff`, the reference scenario with the
 fields a test changes, `FROZEN`, the frozen-inventory problem both engines
-solve in closed form, and the Hamiltonian transform, the unit-nominal
-rescaling and the discrete wealth decomposition. The package has no caller
-for any of them; the tests use the last three as independent checks of the
-engines' closed forms, scaling and accounting."""
+solve in closed form, the Hamiltonian transform and a grid search for it,
+the unit-nominal rescaling and the discrete wealth decomposition. The
+package has no caller for any of them; the tests use the last four as
+independent checks of the engines' closed forms, scaling and accounting."""
 
 import dataclasses
 import math
@@ -59,6 +59,20 @@ def hamiltonian(cost: ExecutionCost, p, rho_max: float):
     if np.ndim(H) == 0:
         return float(H), float(np.asarray(rho))
     return H, rho
+
+
+def hamiltonian_zoom_search(cost: ExecutionCost, p: float, rho_max: float) -> float:
+    """H(p) by a grid search over [-rho_max, rho_max] that zooms in on its
+    best point: three passes of 20,001 rates resolve the maximizer where one
+    grid of 400,001 may not. An oracle for `hamiltonian` that shares none
+    of its closed-form code."""
+    lo, hi = -rho_max, rho_max
+    for _ in range(3):
+        rho = np.linspace(lo, hi, 20_001)
+        vals = p * rho - cost(rho)
+        i = int(np.argmax(vals))
+        lo, hi = rho[max(i - 1, 0)], rho[min(i + 1, rho.size - 1)]
+    return float(vals.max())
 
 
 def rescale_nominal(contract: OptionContract, market: MarketParams):

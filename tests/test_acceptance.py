@@ -4,28 +4,33 @@ the Monte-Carlo table and the hedging trajectories along the bundled path.
 
 Every number asserted here was either computed from a closed form in
 this repository or frozen after cross-validation of the two engines;
-tolerances are part of the contract and must not be loosened. The
-structural bounds (closed forms, convexity, price floors, the Hamiltonian)
-are each checked once, in the engine and model test files. The expensive
+tolerances are part of the contract and must not be loosened. Two
+building blocks are checked here too: the Hamiltonian against a grid search
+and the law of the TWAP fills. The other structural bounds (closed forms,
+convexity, price floors) are each checked once, in the engine test files.
+The expensive
 solves are shared through fixtures: the reference tree and PDE surface per
 session (conftest.py), the other solves per module.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from liqhedge.fixtures import reference_path
 from liqhedge.impact import solve_with_impact
-from liqhedge.model import bachelier_price
+from liqhedge.model import ExecutionCost, bachelier_price
 from liqhedge.pde import GridSpec, solve_theta
 from liqhedge.simulate import (
     PathConfig,
     policy_trajectory,
     run_delta_hedge,
     run_policy_hedge,
+    _twap_matrix,
 )
 from liqhedge.tree import TreeConfig, solve_tree
-from oracles import reference_payoff
+from oracles import hamiltonian, hamiltonian_zoom_search, reference_payoff
 
 N = 2e7
 
@@ -152,6 +157,35 @@ def test_permanent_impact_price(pde_matched):
     per_share = sol.price / N
     assert per_share == pytest.approx(2.689, abs=0.06)
     assert per_share > pde_matched.price(0.0, 1e7, 45.0) / N
+
+
+# ---------------------------------------------------------------------------
+# building blocks
+
+
+def test_hamiltonian_matches_brute_force():
+    rng = np.random.default_rng(12345)
+    for draw in range(100):
+        cost = ExecutionCost(eta=float(rng.uniform(0.01, 0.5)),
+                             phi=float(rng.uniform(0.3, 1.5)),
+                             psi=float(rng.uniform(0.0, 0.05)))
+        rho_max = float(rng.uniform(0.5, 10.0))
+        p = float(rng.uniform(-3.0, 3.0))
+        h, _ = hamiltonian(cost, p, rho_max)
+        reference = hamiltonian_zoom_search(cost, p, rho_max)
+        assert h >= reference - 1e-12, draw
+        assert abs(h - reference) <= 1e-6 * max(abs(reference), 1e-9), draw
+
+
+def test_twap_law_moments():
+    n = 1_000_000
+    sigma, dt = 0.6, 0.25
+    # one path, so one generator draws all n fills
+    S = np.where(np.arange(n + 1) % 2 == 0, 44.2, 45.1)[None, :]
+    fills = _twap_matrix(S, sigma, dt, seed=7)
+    mean, var = 0.5 * (44.2 + 45.1), sigma**2 * dt / 12.0
+    assert abs(np.mean(fills) - mean) < 4 * math.sqrt(var / n)
+    assert abs(np.var(fills, ddof=1) - var) < 4 * var * math.sqrt(2.0 / (n - 1))
 
 
 # ---------------------------------------------------------------------------
