@@ -11,42 +11,27 @@ money at S_T ~ 47.12):
      expiry instead of carrying it to delivery.
 """
 
+from pathlib import Path
+
 import numpy as np
 
-from liqhedge import (
-    ExecutionCost,
-    MarketParams,
-    OptionContract,
-    PayoffSpec,
-    TreeConfig,
-    bachelier_delta,
-    policy_trajectory,
-    reference_path,
-    solve_tree,
-)
+from liqhedge import bachelier_delta, policy_trajectory, reference_path, solve_tree
+from liqhedge.cli import load_config
 
-
-def make_payoff(settlement="physical"):
-    return PayoffSpec(
-        contract=OptionContract(K=45.0, T=63.0, N=2e7, gamma=2e-7, q0=1e7,
-                                settlement=settlement),
-        market=MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0,
-                            mu=0.0, r=0.0, k=0.0),
-        cost=ExecutionCost(eta=0.1, phi=0.75, psi=0.0),
-    )
-
+cfg = load_config(Path(__file__).resolve().parent / "reference_config.json")
 
 t, S = reference_path()
 print(f"bundled path: {S.size} points, S_T = {S[-1]:.4f}, "
       f"range [{S.min():.3f}, {S.max():.3f}]")
 
-payoff = make_payoff()
-tv = solve_tree(payoff, TreeConfig())
+payoff = cfg.payoff
+c, m = payoff.contract, payoff.market
+tv = solve_tree(payoff, cfg.tree_config)
 q, v = policy_trajectory(payoff, tv, S)
 
 # Bachelier delta target on the same path. tau in days, like the model.
-tau = np.maximum(payoff.contract.T - t, 0.0)
-q_delta = payoff.contract.N * bachelier_delta(S, 45.0, 0.6, tau)
+tau = np.maximum(c.T - t, 0.0)
+q_delta = c.N * bachelier_delta(S, c.K, m.sigma, tau)
 
 dt = t[1] - t[0]
 tv_model = np.sum(np.abs(v)) * dt
@@ -63,7 +48,7 @@ print(f"  total shares traded: policy {tv_model:.3e}, "
 print()
 print("-- forgetting the initial inventory --")
 q_lo, _ = policy_trajectory(payoff, tv, S, q0=0.0)
-q_hi, _ = policy_trajectory(payoff, tv, S, q0=payoff.contract.N)
+q_hi, _ = policy_trajectory(payoff, tv, S, q0=c.N)
 for day in (1, 3, 5, 10):
     i = int(day / dt)
     print(f"  day {day:2d}: q(q0=0) = {q_lo[i] / 1e6:6.2f}M,"
@@ -72,8 +57,8 @@ for day in (1, 3, 5, 10):
 
 print()
 print("-- settlement style, final week --")
-tv_cash = solve_tree(make_payoff("cash"), TreeConfig())
-q_cash, _ = policy_trajectory(make_payoff("cash"), tv_cash, S)
+cash = payoff.replace(settlement="cash")
+q_cash, _ = policy_trajectory(cash, solve_tree(cash, cfg.tree_config), S)
 for day in (56, 58, 60, 62, 63):
     i = int(day / dt)
     print(f"  day {day:2d}: physical q = {q[i] / 1e6:6.2f}M,"

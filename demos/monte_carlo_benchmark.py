@@ -16,44 +16,32 @@ Pass a path count to override the default 2000 (10000 reproduces the
 figures quoted in the tests, at about a minute of runtime).
 """
 
+import dataclasses
 import sys
 import time
+from pathlib import Path
 
-from liqhedge import (
-    ExecutionCost,
-    GridSpec,
-    MarketParams,
-    OptionContract,
-    PathConfig,
-    PayoffSpec,
-    run_delta_hedge,
-    run_policy_hedge,
-    solve_theta,
-)
+from liqhedge import GridSpec, run_delta_hedge, run_policy_hedge, solve_theta
+from liqhedge.cli import load_config
 
+cfg = load_config(Path(__file__).resolve().parent / "reference_config.json")
 n_paths = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
-
-payoff = PayoffSpec(
-    contract=OptionContract(K=45.0, T=63.0, N=2e7, gamma=2e-7, q0=1e7,
-                            settlement="physical"),
-    market=MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0,
-                        mu=0.0, r=0.0, k=0.0),
-    cost=ExecutionCost(eta=0.1, phi=0.75, psi=0.0),
-)
+sim = dataclasses.replace(cfg.sim, n_paths=n_paths)
+payoff = cfg.payoff
 N = payoff.contract.N
 
-print(f"{n_paths} paths, 252 steps, seed 0")
+print(f"{n_paths} paths, {sim.n_obs - 1} steps, seed {sim.seed}")
 print()
 print(f"{'strategy':<14s} {'mean cost/sh':>12s} {'std dev/sh':>11s} {'exec fees/sh':>13s}")
 
-for M in (10, 20, 40, 80, 160):
-    st = run_delta_hedge(payoff, PathConfig(n_paths=n_paths, n_obs=253, M=M))
+for M in cfg.M_list:
+    st = run_delta_hedge(payoff, dataclasses.replace(sim, M=M))
     print(f"delta M={M:<5d} {st.mean_cost / N:12.4f} {st.var_cost ** 0.5 / N:11.4f}"
           f" {st.exec_cost_mean / N:13.4f}")
 
 t0 = time.time()
 surf = solve_theta(payoff, GridSpec.default(payoff))
-st = run_policy_hedge(payoff, surf, PathConfig(n_paths=n_paths, n_obs=253))
+st = run_policy_hedge(payoff, surf, sim)
 print(f"{'policy':<14s} {st.mean_cost / N:12.4f} {st.var_cost ** 0.5 / N:11.4f}"
       f" {st.exec_cost_mean / N:13.4f}   [{time.time() - t0:.0f}s incl. PDE solve]")
 if st.excluded:

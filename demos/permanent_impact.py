@@ -11,31 +11,16 @@ you), so the indifference price rises with k.
 """
 
 import time
+from pathlib import Path
 
-from liqhedge import (
-    ExecutionCost,
-    GridSpec,
-    MarketParams,
-    OptionContract,
-    PayoffSpec,
-    solve_with_impact,
-)
+from liqhedge import GridSpec, solve_with_impact
+from liqhedge.cli import load_config
 
-
-def make_payoff(k):
-    return PayoffSpec(
-        contract=OptionContract(K=45.0, T=63.0, N=2e7, gamma=2e-7, q0=1e7,
-                                settlement="physical"),
-        market=MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0,
-                            mu=0.0, r=0.0, k=k),
-        cost=ExecutionCost(eta=0.1, phi=0.75, psi=0.0),
-    )
-
-
-N = 2e7
+base = load_config(Path(__file__).resolve().parent / "reference_config.json").payoff
+N = base.contract.N
 print("permanent impact sweep (PDE, matched 481x241 grid)")
 for k in (0.0, 1e-7, 3e-7):
-    payoff = make_payoff(k)
+    payoff = base.replace(k=k)
     t0 = time.time()
     sol = solve_with_impact(payoff, "pde",
                             grid=GridSpec.default(payoff, n_S=481, n_q=241))

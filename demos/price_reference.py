@@ -10,47 +10,35 @@ terminal liquidation penalty push the indifference price above it.
 """
 
 import time
+from pathlib import Path
 
-from liqhedge import (
-    ExecutionCost,
-    GridSpec,
-    MarketParams,
-    OptionContract,
-    PayoffSpec,
-    TreeConfig,
-    bachelier_price,
-    solve_theta,
-    solve_tree,
-)
+from liqhedge import GridSpec, bachelier_price, solve_theta, solve_tree
+from liqhedge.cli import load_config
 
-payoff = PayoffSpec(
-    contract=OptionContract(K=45.0, T=63.0, N=2e7, gamma=2e-7, q0=1e7,
-                            settlement="physical"),
-    market=MarketParams(S0=45.0, sigma=0.6, volume=4e6, rho_max=5.0,
-                        mu=0.0, r=0.0, k=0.0),
-    cost=ExecutionCost(eta=0.1, phi=0.75, psi=0.0),
-)
-N = payoff.contract.N
+cfg = load_config(Path(__file__).resolve().parent / "reference_config.json")
+payoff = cfg.payoff
+c, m = payoff.contract, payoff.market
+N = c.N
 
-cb = bachelier_price(45.0, 45.0, 0.6, 63.0)
+cb = bachelier_price(m.S0, c.K, m.sigma, c.T)
 print(f"Bachelier premium (frictionless):   {cb:.4f} per share")
 
 t0 = time.time()
-tv = solve_tree(payoff, TreeConfig())
-p_tree = tv.price(0.0, payoff.contract.q0, 45.0) / N
+tv = solve_tree(payoff, cfg.tree_config)
+p_tree = tv.price(0.0, c.q0, m.S0) / N
 print(f"Tree price (dt=0.25, dq=1e5):       {p_tree:.4f} per share"
       f"   [{time.time() - t0:.1f}s]")
 
 t0 = time.time()
 surf = solve_theta(payoff, GridSpec.default(payoff))
-p_pde = surf.price(0.0, payoff.contract.q0, 45.0) / N
+p_pde = surf.price(0.0, c.q0, m.S0) / N
 print(f"PDE price (default 241x121 grid):   {p_pde:.4f} per share"
       f"   [{time.time() - t0:.1f}s]")
 
 # Matching the PDE q-grid to the tree (dq = 1e5) tightens the agreement.
 t0 = time.time()
 surf_m = solve_theta(payoff, GridSpec.default(payoff, n_S=481, n_q=241))
-p_pde_m = surf_m.price(0.0, payoff.contract.q0, 45.0) / N
+p_pde_m = surf_m.price(0.0, c.q0, m.S0) / N
 print(f"PDE price (matched 481x241 grid):   {p_pde_m:.4f} per share"
       f"   [{time.time() - t0:.1f}s]")
 

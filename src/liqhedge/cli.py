@@ -43,7 +43,7 @@ from .tree import TreeConfig, n_steps
 
 DAYS_PER_YEAR = 252.0
 
-# sweep parameter -> the config section, and payoff part, it belongs to
+# sweep parameter -> the config section whose table converts its value
 _SWEEP_FIELDS = {"eta": "cost", "gamma": "contract", "q0": "contract",
                  "rho_max": "market", "r": "market", "mu": "market",
                  "k": "market", "settlement": "contract"}
@@ -126,7 +126,7 @@ _TABLES = {
     "solver.pde": {"n_controls": _int, "n_S": _int, "n_q": _int, "steps_per_day": _number,
                    "S_min": _number, "S_max": _number, "q_min": _number,
                    "q_max": _number},
-    "simulation": {"n_paths": _int, "n_obs": _int, "seed": _int, "strategies": list,
+    "simulation": {"n_paths": _int, "n_obs": _int, "seed": _int, "strategies": lambda s: s,
                    "M": lambda M: [_int(m) for m in (M if isinstance(M, list) else [M])]},
 }
 
@@ -138,10 +138,12 @@ def _scheme_and_grid(payoff, engine, n_controls=SchemeConfig.n_controls, **keys)
 
 
 def _simulation(M=(10, 20, 40, 80, 160), strategies=("delta", "policy"), **keys):
-    """The PathConfig, plus the CLI-only rebalance counts and strategies."""
+    """The PathConfig, plus the CLI-only rebalance counts and strategies, checked here."""
     sim = PathConfig(**keys)
     for m in M:
         dataclasses.replace(sim, M=m)  # validates each rebalance count
+    if not isinstance(strategies, (list, tuple)):
+        raise ValueError(f"strategies must be a JSON list, got {strategies!r}")
     for s in strategies:
         if s not in ("delta", "policy"):
             raise ValueError(f"unknown strategy '{s}'")
@@ -379,12 +381,8 @@ def _sweep_values(text: str, param: str):
 
 
 def _with_param(cfg: RunConfig, param: str, value):
-    part = _SWEEP_FIELDS[param]
-    pay = cfg.payoff
     try:
-        new = _TABLES[part][param](value)
-        changed = dataclasses.replace(getattr(pay, part), **{param: new})
-        return dataclasses.replace(pay, **{part: changed})
+        return cfg.payoff.replace(**{param: _TABLES[_SWEEP_FIELDS[param]][param](value)})
     except ValueError as e:
         raise ConfigError(f"sweep value {value!r}: {e}")
 

@@ -15,6 +15,7 @@ Prices, costs and penalties are in currency.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -298,6 +299,18 @@ class PayoffSpec:
                 raise ValueError("penalty_rate must satisfy 0 < rate <= rho_max")
             if not (self.market.volume.final_value > 0):
                 raise ValueError("liquidation needs market volume > 0 on the final segment")
+
+    def replace(self, **changes) -> PayoffSpec:
+        """This problem with each keyword applied to the one part with a field by
+        that name (contract, market, cost or this spec), a part given whole first.
+        Each part is rebuilt once, so it validates the final values; an unknown
+        keyword raises TypeError."""
+        def rebuilt(part):
+            obj = changes.pop(part, getattr(self, part))
+            return dataclasses.replace(obj, **{f.name: changes.pop(f.name) for f in
+                                               dataclasses.fields(obj) if f.name in changes})
+        parts = {part: rebuilt(part) for part in ("contract", "market", "cost")}
+        return dataclasses.replace(self, **parts, **changes)
 
     @property
     def liquidation_rate(self) -> float:

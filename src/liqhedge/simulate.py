@@ -370,7 +370,7 @@ def run_delta_hedge(payoff: PayoffSpec, cfg: PathConfig) -> PnLStats:
     completes the previous difference, so q_T carries the one-period lag.
     The participation cap is deliberately not applied to the benchmark, so
     it raises ValueError where it trades on a zero-volume interval. For the
-    fee-free ladder pass replace(payoff, cost=ExecutionCost(0.0, phi),
+    fee-free ladder pass payoff.replace(eta=0.0, psi=0.0,
     penalty=payoff.liquidation).
     """
     if cfg.M is None:

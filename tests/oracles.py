@@ -19,25 +19,9 @@ REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "reference_co
 
 
 def reference_payoff(**changes) -> PayoffSpec:
-    """The payoff of `demos/reference_config.json` with `changes` applied.
-
-    Each keyword goes to the one object with a field by that name: K, T, N,
-    gamma, q0, settlement to the contract; S0, sigma, volume, rho_max, mu, r,
-    k to the market; eta, phi, psi to the cost; cost, penalty, penalty_rate
-    to the PayoffSpec. Each object is rebuilt once, so its validation sees
-    the final values. An unknown keyword raises TypeError.
-    """
-    base = load_config(str(REFERENCE_CONFIG)).payoff
-
-    def rebuilt(obj):
-        return dataclasses.replace(obj, **{f.name: changes.pop(f.name)
-                                           for f in dataclasses.fields(obj)
-                                           if f.name in changes})
-
-    contract, market = rebuilt(base.contract), rebuilt(base.market)
-    cost = rebuilt(changes.pop("cost", base.cost))
-    return dataclasses.replace(base, contract=contract, market=market, cost=cost,
-                               **changes)
+    """The payoff of `demos/reference_config.json` with `changes` applied by
+    `PayoffSpec.replace`."""
+    return load_config(str(REFERENCE_CONFIG)).payoff.replace(**changes)
 
 
 # no option, no penalty and rho_max = 0: only the variance charge of the held

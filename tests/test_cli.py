@@ -283,6 +283,9 @@ def test_invalid_field_value_reports_config_error(tmp_path, capsys):
     ("price", "market", "volume", True),
     ("price", "market", "volume", {"starts": [0, "20"], "values": [4e6, 2e6]}),
     ("price", "market", "volume", {"starts": [0, 20], "values": [4e6, True]}),
+    ("simulate", "simulation", "strategies", {"delta": 1}),  # a JSON list only
+    ("simulate", "simulation", "strategies", "delta"),
+    ("price", "solver", "engine", "fd"),
 ])
 def test_bad_values_exit_with_config_error(tmp_path, capsys, command,
                                            section, key, value):
@@ -294,6 +297,18 @@ def test_bad_values_exit_with_config_error(tmp_path, capsys, command,
     code = main([command, "--config", write(tmp_path, cfg)])
     assert code == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("simulation", "strategies", "delta", "strategies must be a JSON list, got 'delta'"),
+    ("simulation", "strategies", {"delta": 1}, "strategies must be a JSON list"),
+    ("solver", "engine", "fd", "engine must be 'pde' or 'tree', got 'fd'"),
+])
+def test_config_error_names_what_is_expected(tmp_path, section, key, value, message):
+    cfg = reference_dict(solver={}, simulation={})
+    cfg[section][key] = value
+    with pytest.raises(cli.ConfigError, match=re.escape(message)):
+        load_config(write(tmp_path, cfg))
 
 
 def test_config_hash_ignores_formatting(tmp_path):

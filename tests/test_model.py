@@ -329,17 +329,39 @@ def test_payoff_keeps_penalty_rate_as_given():
     assert base.penalty_rate is None and base.liquidation_rate == 5.0
     q = np.linspace(-2e7, 2e7, 9)
     for rho_max in (10.0, 0.5):
-        market = dataclasses.replace(base.market, rho_max=rho_max)
-        moved = dataclasses.replace(base, market=market)
-        fresh = reference_payoff(rho_max=rho_max)
+        moved = base.replace(rho_max=rho_max)
+        fresh = PayoffSpec(base.contract, dataclasses.replace(base.market, rho_max=rho_max),
+                           base.cost)
         assert moved.penalty_rate is None and moved.liquidation_rate == rho_max
         np.testing.assert_array_equal(moved.liquidation(q), fresh.liquidation(q))
     # a given rate stays the rate, within the cap of every market it meets
-    pinned = dataclasses.replace(base, penalty_rate=1.0)
-    wide = dataclasses.replace(pinned, market=dataclasses.replace(base.market, rho_max=10.0))
+    pinned = base.replace(penalty_rate=1.0)
+    wide = pinned.replace(rho_max=10.0)
     assert wide.penalty_rate == wide.liquidation_rate == 1.0
     with pytest.raises(ValueError, match="penalty_rate"):
-        dataclasses.replace(pinned, market=dataclasses.replace(base.market, rho_max=0.5))
+        pinned.replace(rho_max=0.5)
+
+
+def test_payoff_replace_routes_each_field_to_its_part():
+    base = reference_payoff()
+    p = base.replace(K=50.0, sigma=0.7, psi=0.01, penalty_rate=1.0)
+    assert p.contract == dataclasses.replace(base.contract, K=50.0)
+    assert p.market == dataclasses.replace(base.market, sigma=0.7)
+    assert p.cost == ExecutionCost(0.1, 0.75, 0.01)
+    assert p.penalty_rate == 1.0 and p.penalty is None
+    # a whole cost goes in first, then the fields named beside it
+    assert base.replace(cost=ExecutionCost(1.0, 0.5, 0.2), eta=2.0).cost == \
+        ExecutionCost(2.0, 0.5, 0.2)
+    with pytest.raises(TypeError, match="nominal"):
+        base.replace(nominal=1e7)
+
+
+def test_payoff_replace_validates_the_final_values():
+    # each part is rebuilt once: N and q0 change together, where N alone fails
+    c = reference_payoff().replace(N=0.0, q0=0.0).contract
+    assert c.N == c.q0 == 0.0
+    with pytest.raises(ValueError, match="q0 must be 0 when N = 0"):
+        reference_payoff().replace(N=0.0)
 
 
 def test_closed_form_penalty_needs_final_volume():

@@ -67,9 +67,8 @@ def pde_price(pay):
 
 def costlier(pay):
     """The same problem with eta doubled, then with gamma tripled."""
-    yield dataclasses.replace(pay, cost=dataclasses.replace(pay.cost, eta=2 * pay.cost.eta))
-    yield dataclasses.replace(pay, contract=dataclasses.replace(
-        pay.contract, gamma=3 * pay.contract.gamma))
+    yield pay.replace(eta=2 * pay.cost.eta)
+    yield pay.replace(gamma=3 * pay.contract.gamma)
 
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
@@ -87,9 +86,7 @@ def test_tree_price_monotone_in_costs_and_cap(pay):
     assert np.diff(th, 2).min() >= -1e-12 * np.abs(th).max()
     for dearer in costlier(pay):
         assert tree_price(dearer) >= base
-    wider = dataclasses.replace(pay, market=dataclasses.replace(
-        pay.market, rho_max=2 * pay.market.rho_max))
-    assert tree_price(wider) <= base
+    assert tree_price(pay.replace(rho_max=2 * pay.market.rho_max)) <= base
 
 
 @PROPERTY

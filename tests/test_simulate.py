@@ -2,7 +2,6 @@
 runners, and the discrete wealth-decomposition identity."""
 
 import ctypes
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liqhedge.model import ExecutionCost, VolumeCurve, bachelier_price
+from liqhedge.model import VolumeCurve, bachelier_price
 from liqhedge import simulate
 from liqhedge.pde import GridSpec, solve_theta
 from liqhedge.simulate import (
@@ -38,8 +37,7 @@ def zero_penalty(q):
 
 def fee_free(pay):
     """The same problem with no execution fee and the same terminal payoff."""
-    return dataclasses.replace(pay, cost=ExecutionCost(0.0, pay.cost.phi),
-                               penalty=pay.liquidation)
+    return pay.replace(eta=0.0, psi=0.0, penalty=pay.liquidation)
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,8 @@ def test_rejects_bad_grids():
         solve_tree(bad_q0, TreeConfig(dt=0.5, dq=1e5))
     with pytest.raises(ValueError, match="q_max must be >= q_min"):
         solve_tree(pay, TreeConfig(q_min=1e7, q_max=0.0))
+    with pytest.raises(ValueError, match="alpha must be >= 1"):
+        TreeConfig(alpha=0.99)
     for bad in ({"dt": math.inf}, {"alpha": math.inf}, {"dq": math.nan},
                 {"q_min": -math.inf, "q_max": 2e7}):
         with pytest.raises(ValueError, match=f"{next(iter(bad))} must be finite"):
