@@ -1,7 +1,8 @@
 """Inventory trading steps shared by the tree and the PDE trading substep:
 the whole-step trade ladder, its min-plus sweep and the cheaper-candidate update.
 
-A solve builds each volume's ladder once (`ladder_by_volume`): the ladder
+A solve builds each volume's ladder once (the tree through
+`ladder_by_volume`, the PDE in its trade plan per volume): the ladder
 depends on the level only through V, and a level's m_cap scalar cost()
 calls would otherwise repeat at every level of a segment."""
 

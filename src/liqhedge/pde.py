@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
-from .minplus import ladder_by_volume, shift_min, take_cheaper
+from . import minplus
+from .minplus import shift_min, take_cheaper
 from .model import (_level_of, _overflow_of, _require_finite, _require_finite_values,
                     optimal_rate)
 
@@ -207,33 +208,37 @@ class ThetaSurface:
         return self._interp(partial(self.control.take, level), q_in, S_in)
 
 
-def _build_banded_A(n_S: int, dS: float, market, dt: float) -> np.ndarray:
-    """Banded matrix of the implicit linear substep along S, in the layout
-    solve_banded((1, 1), ab, ...) reads: ab[0, j] = A[j-1, j] (upper
-    diagonal), ab[1, j] = A[j, j] (main), ab[2, j] = A[j+1, j] (lower);
-    ab[0, 0] and ab[2, -1] stay zero."""
+def _build_banded_A(n_S: int, dS: float, market, dt: float):
+    """Diagonals (dl, d, du) of the implicit linear substep along S, as
+    LAPACK's gtsv takes them: dl[j] = A[j+1, j] (lower), d[j] = A[j, j]
+    (main), du[j] = A[j, j+1] (upper)."""
     mu, r = market.mu, market.r
     with _overflow_of("sigma"):
         sig2 = market.sigma**2
     with _overflow_of("S0, K or the S step (S_max - S_min)/(n_S - 1)"):
         diff = 0.5 * sig2 / dS**2
     adv = mu / (2.0 * dS)
-    ab = np.zeros((3, n_S))
-    ab[0, 2:] = -dt * (diff + adv)
-    ab[1, 1:-1] = 1.0 + r * dt + 2.0 * dt * diff
-    ab[2, :-2] = -dt * (diff - adv)
+    dl = np.full(n_S - 1, -dt * (diff - adv))
+    d = np.full(n_S, 1.0 + r * dt + 2.0 * dt * diff)
+    du = np.full(n_S - 1, -dt * (diff + adv))
     # boundary rows: d_SS theta = 0, one-sided first derivative
-    ab[1, 0] = 1.0 + r * dt + dt * mu / dS
-    ab[0, 1] = -dt * mu / dS
-    ab[1, -1] = 1.0 + r * dt - dt * mu / dS
-    ab[2, -2] = dt * mu / dS
-    return ab
+    d[0] = 1.0 + r * dt + dt * mu / dS
+    du[0] = -dt * mu / dS
+    d[-1] = 1.0 + r * dt - dt * mu / dS
+    dl[-1] = dt * mu / dS
+    return dl, d, du
 
 
-def _step_A(theta: np.ndarray, ab: np.ndarray, source: Optional[np.ndarray]) -> np.ndarray:
-    """Implicit linear substep; theta shaped (n_q, n_S)."""
+def _step_A(theta: np.ndarray, diagonals, source: Optional[np.ndarray]) -> np.ndarray:
+    """Implicit linear substep; theta shaped (n_q, n_S). One gtsv call
+    solves every inventory row: it is the call solve_banded((1, 1), ...)
+    makes, with the same arguments, so the bits are solve_banded's. Only a
+    right-hand side made here (theta + source) is solved in place."""
     rhs = theta if source is None else theta + source
-    return solve_banded((1, 1), ab, rhs.T, overwrite_ab=False, check_finite=False).T
+    *_, x, info = dgtsv(*diagonals, rhs.T, overwrite_b=source is not None)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x.T
 
 
 def _step_B(theta: np.ndarray, qcol: np.ndarray, dS: float, coef: float,
@@ -243,20 +248,37 @@ def _step_B(theta: np.ndarray, qcol: np.ndarray, dS: float, coef: float,
     coef = gamma*sigma^2*e^{r tau}; the effective slope gap is
     max(relu(q - D-), relu(D+ - q)), which realizes min over [D-,D+] of the
     concave Hamiltonian on increasing data and max over [D+,D-] otherwise.
+    Every substep runs in the buffers allocated here; the first one that
+    moves theta writes a new array, so the caller's theta is left alone.
     """
+    dplus = np.empty_like(theta)  # D+ of each node, which is D- of the next
+    # relu(q - D+) of flat node k is stored at ahead[k + 1] (`short`), so
+    # `below`, the view one element earlier, holds node k - 1's value at k:
+    # relu(q - D-) of node k. Its first column, which would read the end of
+    # the row above, is overwritten with the node's own value
+    ahead = np.empty(theta.size + 1)
+    short, below = ahead[1:].reshape(theta.shape), ahead[:-1].reshape(theta.shape)
+    gap = np.empty_like(theta)
     done = 0.0
     n = 0
     while done < dt - 1e-13:
-        d = (theta[:, 1:] - theta[:, :-1]) / dS
-        dminus = np.concatenate((d[:, :1], d), axis=1)  # D- at the first node is D+
-        dplus = np.concatenate((d, d[:, -1:]), axis=1)  # D+ at the last node is D-
-        gap = np.maximum(np.maximum(qcol - dminus, 0.0),
-                         np.maximum(dplus - qcol, 0.0))
+        np.subtract(theta[:, 1:], theta[:, :-1], out=dplus[:, :-1])
+        dplus[:, -1] = dplus[:, -2]  # D+ at the last node is D-
+        dplus /= dS
+        np.maximum(np.subtract(qcol, dplus, out=short), 0.0, out=short)
+        below[:, 0] = short[:, 0]  # D- at the first node is D+
+        np.maximum(np.subtract(dplus, qcol, out=gap), 0.0, out=gap)
+        np.maximum(below, gap, out=gap)
         gmax = float(gap.max())
         if coef * gmax <= 0.0:
             break
         sub = min(dt - done, _CFL_SAFETY * dS / (coef * gmax))
-        theta = theta + (0.5 * coef * sub) * gap**2
+        np.square(gap, out=gap)
+        gap *= 0.5 * coef * sub
+        if n == 0:
+            theta = theta + gap
+        else:
+            theta += gap
         done += sub
         n += 1
         if n > _MAX_SUBSTEPS:
@@ -264,94 +286,150 @@ def _step_B(theta: np.ndarray, qcol: np.ndarray, dS: float, coef: float,
     return theta
 
 
-def _take_interpolated(theta, best, code, rates, first, cost, V, dt, dq):
-    """take_cheaper of every off-node rate, rates[r] writing code first + r.
+@dataclass(frozen=True, eq=False)
+class _TradePlan:
+    """What step C needs at one volume V before it sees theta: the
+    whole-step trade costs V*rate*dt that `shift_min` adds, the level
+    table's first speeds (the 2*m_cap+1 shift speeds, then the rates'
+    speeds rho*V) and one read per off-node rate with a source node,
+    (code, run cost V*L(rho)*dt, (1-f, f), destination rows, the rows
+    (1-f) and f multiply, the weights no later read needs)."""
 
-    A rate reads theta(q + rho*V*dt) as (1-f)*theta[i+w] + f*theta[i+w+1].
-    Each distinct weight c in {f, 1-f} multiplies the whole level once and
-    is dropped after the last rate that reads it; a rate adds its cost and
-    two slices of those products into one reused buffer. Products are
-    elementwise and run_cost + x == x + run_cost, so every bit is that of
-    run_cost + (1-f)*theta[slice] + f*theta[slice] built per rate."""
-    nq = theta.shape[0]
-    reads = []  # (code, rho, w, f, lo, hi) of each off-node rate with a source node
-    for r, rho in enumerate(rates, first):
+    cost: object
+    rho_max: float
+    V: float
+    dt: float
+    dq: float
+    costs: tuple
+    speeds: np.ndarray
+    reads: tuple
+
+
+def _trade_plan(cost, rho_max, V, dt, qgrid, rates) -> Optional[_TradePlan]:
+    """Step C's plan at volume V for the nonzero control `rates` (|rho|
+    ascending, negative first) and the whole-step trades of
+    `minplus.trade_ladder`; None when nothing can trade (rho_max <= 0 or
+    V <= 0).
+
+    An off-node rate reads theta(q + rho*V*dt) as
+    (1-f)*theta[i+w] + f*theta[i+w+1]; rates whose displacement lands on a
+    node (f within 1e-12 of 0 or 1) are the shifts' and are skipped."""
+    nq = qgrid.size
+    dq = qgrid[1] - qgrid[0]
+    ladder = minplus.trade_ladder(cost, rho_max, V, dt, dq, nq)
+    if rho_max <= 0 or V <= 0:
+        return None
+    m_cap = len(ladder)
+    speeds = np.concatenate((np.arange(-m_cap, m_cap + 1) * dq / (V * dt) * V, rates * V))
+    reads = []
+    for r, rho in enumerate(rates, 2 * m_cap + 1):
         s = rho * V * dt / dq
         w = math.floor(s)
         f = s - w
         if f < 1e-12 or 1.0 - f < 1e-12:
-            continue                       # node-aligned, already covered
-        lo = max(0, -w)                    # smallest valid source-node start
+            continue  # node-aligned, already covered
+        lo = max(0, -w)  # smallest valid source-node start
         hi = nq - max(0, w + 1)
         if hi > lo:
-            reads.append((r, rho, w, f, lo, hi))
+            reads.append((r, V * cost(rho) * dt, (1.0 - f, f), slice(lo, hi),
+                          (slice(lo + w, hi + w), slice(lo + w + 1, hi + w + 1))))
     last = {}  # weight c -> index of the last read that multiplies by c
-    for k, (_, _, _, f, _, _) in enumerate(reads):
-        last[1.0 - f] = last[f] = k
+    for k, (_, _, weights, _, _) in enumerate(reads):
+        last.update(dict.fromkeys(weights, k))
+    reads = tuple((*read, tuple({c for c in read[2] if last[c] == k}))
+                  for k, read in enumerate(reads))
+    return _TradePlan(cost, rho_max, V, dt, dq,
+                      tuple(V * rate * dt for rate in ladder), speeds, reads)
+
+
+def _take_interpolated(theta, best, code, reads):
+    """take_cheaper of every read of a _TradePlan, each writing its code.
+
+    Each distinct weight c multiplies the whole level once and is dropped
+    after the last read that needs it; a read adds its run cost and two
+    slices of those products into one reused buffer. Products are
+    elementwise and run_cost + x == x + run_cost, so every bit is that of
+    run_cost + (1-f)*theta[slice] + f*theta[slice] built per rate."""
     scaled = {}  # weight c -> c*theta, while a later read still needs it
     cand = np.empty_like(theta[1:])
     mask = np.empty(cand.shape, dtype=bool)
-    for k, (r, rho, w, f, lo, hi) in enumerate(reads):
-        weights = {1.0 - f, f}
-        for c in weights:
+    for r, run_cost, (g, f), rows, (src, src_next), drop in reads:
+        for c in (g, f):
             if c not in scaled:
                 scaled[c] = c * theta
-        buf = cand[:hi - lo]
-        np.add(scaled[1.0 - f][lo + w: hi + w], V * cost(rho) * dt, out=buf)
-        buf += scaled[f][lo + w + 1: hi + w + 1]
-        take_cheaper(buf, best[lo:hi], code[lo:hi], r, mask[:hi - lo])
-        for c in weights:
-            if last[c] == k:
-                del scaled[c]
+        size = rows.stop - rows.start
+        buf = cand[:size]
+        np.add(scaled[g][src], run_cost, out=buf)
+        buf += scaled[f][src_next]
+        take_cheaper(buf, best[rows], code[rows], r, mask[:size])
+        for c in drop:
+            del scaled[c]
 
 
-def _step_C(theta: np.ndarray, qgrid: np.ndarray, cost, rho_max: float,
-            V: float, dt: float, rates: np.ndarray, ladder, guess, code: np.ndarray):
-    """Semi-Lagrangian trading substep over the nonzero control `rates`
-    (|rho| ascending, negative first) and the whole-step trade `ladder` at
-    this V; returns (new theta, the level's speed table, the node-aligned
+def _step_C(theta: np.ndarray, plan: Optional[_TradePlan], guess, code: np.ndarray):
+    """Semi-Lagrangian trading substep at the volume of `plan` (None: no
+    trade); returns (new theta, the level's speed table, the node-aligned
     shifts or None) and writes each node's index into that table to `code`.
     `guess`, the node-aligned shifts of the step after (or None), starts
     `shift_min`'s search. The off-node rates interpolate theta from one
     product c*theta per distinct weight c (`_take_interpolated`)."""
-    nq = theta.shape[0]
-    dq = qgrid[1] - qgrid[0]
-    if rho_max <= 0 or V <= 0:
+    if plan is None:
         code.fill(0)
         return theta.copy(), np.zeros(1), None
+    nq, nS = theta.shape
+    V, dt, dq = plan.V, plan.dt, plan.dq
 
     # node-aligned candidates: every destination reachable within the
     # participation cap, exact (no interpolation); without these the min
     # cannot park inventory on the value kink at q = 0 from every node and
     # the surface loses discrete convexity in q
-    m_cap = len(ladder)
-    best, shift = shift_min(theta, [V * rate * dt for rate in ladder], guess)
+    m_cap = len(plan.costs)
+    best, shift = shift_min(theta, plan.costs, guess)
     code[...] = shift
     code += m_cap  # shift w is code w + m_cap, rate r code 2*m_cap + 1 + r
-    table = [np.arange(-m_cap, m_cap + 1) * dq / (V * dt) * V, rates * V]
-    _take_interpolated(theta, best, code, rates, 2 * m_cap + 1, cost, V, dt, dq)
+    _take_interpolated(theta, best, code, plan.reads)
 
     # closed-form candidate from the local slope; when its displacement
     # overshoots the grid the destination is clamped to the edge node, which
-    # is the exact constrained minimizer (cheaper rate, no extrapolation)
+    # is the exact constrained minimizer (cheaper rate, no extrapolation).
+    # Built in place, each element's operations in the order of
+    # x = clip(i + rho*V*dt/dq), rho_used = (x - i)*dq/(V*dt) and
+    # V*L(rho_used)*dt + (1 - fr)*theta[i0, j] + fr*theta[i0 + 1, j]
     p = np.empty_like(theta)
-    p[1:-1] = (theta[2:] - theta[:-2]) / (2 * dq)
+    np.subtract(theta[2:], theta[:-2], out=p[1:-1])
+    p[1:-1] /= 2 * dq
     p[0] = (theta[1] - theta[0]) / dq
     p[-1] = (theta[-1] - theta[-2]) / dq
-    rho_cf = optimal_rate(cost, -p, rho_max)
-    x = np.clip(np.arange(nq)[:, None] + rho_cf * V * dt / dq, 0, nq - 1)
-    rho_used = (x - np.arange(nq)[:, None]) * dq / (V * dt)
-    i0 = np.minimum(x.astype(int), nq - 2)
-    fr = x - i0
-    cand = V * cost(rho_used) * dt + (1 - fr) * np.take_along_axis(theta, i0, 0) \
-        + fr * np.take_along_axis(theta, i0 + 1, 0)
+    x = optimal_rate(plan.cost, np.negative(p, out=p), plan.rho_max)
+    x *= V
+    x *= dt
+    x /= dq
+    rows = np.arange(nq)[:, None]
+    x += rows
+    np.clip(x, 0, nq - 1, out=x)
+    rho_used = np.subtract(x, rows, out=p)
+    rho_used *= dq
+    rho_used /= V * dt
+    at = x.astype(int)  # i0, then its flat index i0*n_S + j
+    np.minimum(at, nq - 2, out=at)
+    fr = np.subtract(x, at, out=x)
+    at *= nS
+    at += np.arange(nS)
+    flat = theta.ravel()
+    here, there = flat.take(at), flat[nS:].take(at)
+    there *= fr
+    here *= np.subtract(1, fr, out=fr)
+    cand = plan.cost(rho_used)
+    cand *= V
+    cand *= dt
+    cand += here
+    cand += there
     # take_cheaper with one new code per winning node, its speed appended
     won = cand < best
     np.minimum(cand, best, out=best)
-    first = 2 * m_cap + 1 + rates.size
+    first = plan.speeds.size
     code[won] = np.arange(first, first + np.count_nonzero(won))
-    table.append(rho_used[won] * V)
-    return best, np.concatenate(table), shift
+    return best, np.concatenate((plan.speeds, rho_used[won] * V)), shift
 
 
 def solve_theta(payoff, grid: Optional[GridSpec] = None,
@@ -392,7 +470,7 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
     if keep_values:
         values[grid.n_t] = theta
 
-    ab = _build_banded_A(nS, dS, m, dt)
+    diagonals = _build_banded_A(nS, dS, m, dt)
     # q-dependent source of the linear substep: -dt*(mu - r*S)*q
     if m.mu != 0.0 or m.r != 0.0:
         source = -dt * (m.mu - m.r * Sgrid[None, :]) * qcol
@@ -404,7 +482,8 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
                                f"at level {n}, q={qgrid[ij[0]]:.6g}, S={Sgrid[ij[1]]:.6g}")
         return theta
 
-    ladder = ladder_by_volume(payoff.cost, m.rho_max, dt, qgrid[1] - qgrid[0], nq)
+    # each distinct V's plan is built once and dies with the solve
+    plan = cache(lambda V: _trade_plan(payoff.cost, m.rho_max, V, dt, qgrid, rates))
     shift = None
     for n in range(grid.n_t - 1, -1, -1):
         tau_new = c.T - n * dt
@@ -412,10 +491,9 @@ def solve_theta(payoff, grid: Optional[GridSpec] = None,
             coef = c.gamma * m.sigma**2 * math.exp(m.r * tau_new)
         V = float(m.volume.at(n * dt))  # [t_n, t_{n+1}) trades against V(t_n)
 
-        theta = finite(_step_A(theta, ab, source), "A", n)
+        theta = finite(_step_A(theta, diagonals, source), "A", n)
         theta = finite(_step_B(theta, qcol, dS, coef, dt), "B", n)
-        theta, tables[n], shift = _step_C(theta, qgrid, payoff.cost, m.rho_max, V, dt,
-                                          rates, ladder(V), shift, codes[n])
+        theta, tables[n], shift = _step_C(theta, plan(V), shift, codes[n])
         finite(theta, "C", n)
         if keep_values or n == 0:
             values[n] = theta

@@ -188,17 +188,18 @@ def _each_state(bitgen, limbs):
                               "inc": known[2] << 64 | known[3]},
                     "has_uint32": 0, "uinteger": 0}
     pair = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
-    found = list((ctypes.c_uint64 * 4).from_address(pair))
+    state = (ctypes.c_uint64 * 4).from_address(pair)
+    found = list(state)
     if sorted(found) != sorted(known):
         raise RuntimeError("numpy's PCG64 state memory does not hold the "
                            "generator's (state, inc) words")
     # row i: path i's words in the order the generator's memory holds them;
-    # uint64, so each row is the 32 bytes memmove copies
+    # uint64, so each row is the 32 bytes a slice write copies
     words = np.column_stack([limbs[known.index(w)] for w in found]).astype(
         np.uint64, copy=False)
-    start = words.ctypes.data
-    for row in range(start, start + words.nbytes, 32):
-        ctypes.memmove(pair, row, 32)
+    dst, src = memoryview(state).cast("B"), memoryview(words.reshape(-1).view(np.uint8))
+    for row in range(0, src.nbytes, 32):
+        dst[:] = src[row:row + 32]
         yield
 
 

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from liqhedge import pde
 from liqhedge.minplus import shift_min, take_cheaper, trade_ladder
@@ -177,6 +178,9 @@ STEP_C_CASES = {
     "97x37": ({}, dict(n_S=97, n_q=37, q_min=-1.3e6, q_max=2.17e7)),
     "two-volumes": (dict(volume=VolumeCurve([0.0, 1.0], [4e6, 1.5e6])),
                     dict(n_S=121, n_q=61)),
+    # no volume on the first day, so step C's V = 0 branch is compared too
+    "dead-volume": (dict(volume=VolumeCurve([0.0, 1.0], [0.0, 4e6])),
+                    dict(n_S=121, n_q=61)),
 }
 
 
@@ -194,19 +198,66 @@ def test_step_C_matches_a_product_per_rate_bit_for_bit(name):
     shift = None
     for n in range(grid.n_t - 1, -1, -1):
         V = float(m.volume.at(n * dt))
-        ladder = trade_ladder(pay.cost, m.rho_max, V, dt, qgrid[1] - qgrid[0], grid.n_q)
+        plan = pde._trade_plan(pay.cost, m.rho_max, V, dt, qgrid, rates)
         for guess in (None, shift):
             want_code = np.empty(values[n].shape, dtype=np.int16)
             got_code = np.empty_like(want_code)
             want = step_C_per_rate(values[n + 1], qgrid, pay.cost, m.rho_max, V, dt,
                                    rates, guess, want_code)
-            got = pde._step_C(values[n + 1], qgrid, pay.cost, m.rho_max, V, dt,
-                              rates, ladder, guess, got_code)
+            got = pde._step_C(values[n + 1], plan, guess, got_code)
             assert got_code.tobytes() == want_code.tobytes()
+            assert (got[2] is None) == (want[2] is None)  # no shifts where V = 0
             for a, b in zip(got, want):
+                if b is None:
+                    continue
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
         shift = got[2]
+
+
+def test_a_solve_builds_each_volume_plan_once(monkeypatch):
+    # 4e6 comes back after 2e6 and after a segment that cannot trade; a
+    # second solve builds its own plans, so no cache outlives a solve
+    pay = reference_payoff(T=8.0, volume=VolumeCurve([0, 2, 4, 6], [4e6, 2e6, 0, 4e6]))
+    built = []
+    plan = pde._trade_plan
+
+    def spy(cost, rho_max, V, *args):
+        built.append(V)
+        return plan(cost, rho_max, V, *args)
+
+    monkeypatch.setattr(pde, "_trade_plan", spy)
+    for _ in range(2):
+        solve_theta(pay, GridSpec.default(pay, n_S=61, n_q=31, steps_per_day=2))
+    assert sorted(built) == [0.0, 0.0, 2e6, 2e6, 4e6, 4e6]
+
+
+@pytest.mark.parametrize("drift", [{}, dict(mu=0.05 / 252, r=0.02 / 252)],
+                         ids=["mu-r-0", "drift"])
+def test_step_A_matches_solve_banded_bit_for_bit(drift):
+    pay = reference_payoff(**drift)
+    m, grid = pay.market, GridSpec.default(pay)
+    dt = pay.contract.T / grid.n_t
+    dS = (grid.S_max - grid.S_min) / (grid.n_S - 1)
+    qcol, S = grid.q[:, None], grid.S[None, :]
+    theta = np.asarray(pay.terminal(qcol, S), dtype=float)
+    source = -dt * (m.mu - m.r * S) * qcol if drift else None
+    dl, d, du = diagonals = pde._build_banded_A(grid.n_S, dS, m, dt)
+    ab = np.zeros((3, grid.n_S))
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    rhs = theta if source is None else theta + source
+    want = solve_banded((1, 1), ab, rhs.T).T
+    before = theta.copy()
+    got = pde._step_A(theta, diagonals, source)
+    assert theta.tobytes() == before.tobytes()
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_singular_step_A_raises():
+    zero = (np.zeros(2), np.zeros(3), np.zeros(2))
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        pde._step_A(np.ones((2, 3)), zero, None)
 
 
 def test_step_B_returns_theta_when_no_slope_gap():
