@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "VolumeCurve",
@@ -413,6 +412,7 @@ def bachelier_price(S, K, sigma, tau):
     tau = 0 returns the intrinsic value (S-K)+. Phi is ndtr and pdf is
     exp(-d**2/2)/sqrt(2*pi), so C equals the norm.cdf/norm.pdf form bit for bit.
     """
+    from scipy.special import ndtr  # on first use: tree runs load no scipy
     S, sq, d = _bachelier_d(S, K, sigma, tau)
     # -0.5*d**2 rounds as -d**2/2 does, and a NaN d keeps its sign, as in norm.pdf
     pdf = np.exp(-0.5 * d**2) / math.sqrt(2.0 * math.pi)
@@ -430,6 +430,7 @@ def bachelier_delta(S, K, sigma, tau):
     S and tau broadcast, so one call prices a whole (paths, dates) ladder.
     Phi is scipy's ndtr, as in bachelier_price.
     """
+    from scipy.special import ndtr  # on first use: tree runs load no scipy
     S, sq, d = _bachelier_d(S, K, sigma, tau)
     ndtr(d, out=d)
     np.copyto(d, S >= K, where=~(sq > 0))

@@ -35,7 +35,6 @@ from functools import cache, partial
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from . import minplus
 from .minplus import shift_min, take_cheaper
@@ -234,6 +233,7 @@ def _step_A(theta: np.ndarray, diagonals, source: Optional[np.ndarray]) -> np.nd
     solves every inventory row: it is the call solve_banded((1, 1), ...)
     makes, with the same arguments, so the bits are solve_banded's. Only a
     right-hand side made here (theta + source) is solved in place."""
+    from scipy.linalg.lapack import dgtsv  # on first use: tree runs load no scipy
     rhs = theta if source is None else theta + source
     *_, x, info = dgtsv(*diagonals, rhs.T, overwrite_b=source is not None)
     if info > 0:

@@ -266,14 +266,21 @@ def test_bachelier_price_is_zero_at_minus_infinity():
 
 
 def test_package_import_leaves_out_scipy_stats():
-    # the package needs numpy, scipy.linalg and scipy.special; scipy.stats
-    # alone more than doubles the import time every command pays
-    code = "import sys, liqhedge, liqhedge.cli; print('scipy.stats' in sys.modules)"
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    # the package needs numpy, and scipy.linalg (a PDE solve) and
+    # scipy.special (a Bachelier call) on first use; scipy.stats alone more
+    # than doubles the import time, so the subprocess runs both before it looks
+    code = ("import sys, liqhedge, liqhedge.cli\n"
+            "pay = liqhedge.cli.load_config(sys.argv[1]).payoff\n"
+            "liqhedge.solve_theta(pay, liqhedge.GridSpec.default(\n"
+            "    pay, n_S=31, n_q=11, steps_per_day=0.5))\n"
+            "liqhedge.bachelier_price(45.0, 45.0, 0.6, 63.0)\n"
+            "print('scipy.stats' in sys.modules)")
+    root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code,
+                          str(root / "demos" / "reference_config.json")],
+                         env=env, check=True, capture_output=True, text=True)
     assert out.stdout.strip() == "False"
 
 
