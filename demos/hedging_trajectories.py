@@ -47,8 +47,8 @@ print(f"  total shares traded: policy {tv_model:.3e}, "
 
 print()
 print("-- forgetting the initial inventory --")
-q_lo, _ = policy_trajectory(payoff, tv, S, q0=0.0)
-q_hi, _ = policy_trajectory(payoff, tv, S, q0=c.N)
+q_lo, _ = policy_trajectory(payoff.replace(q0=0.0), tv, S)
+q_hi, _ = policy_trajectory(payoff.replace(q0=c.N), tv, S)
 for day in (1, 3, 5, 10):
     i = int(day / dt)
     print(f"  day {day:2d}: q(q0=0) = {q_lo[i] / 1e6:6.2f}M,"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .model import PayoffSpec
 from .pde import solve_theta
-from .tree import solve_tree
+from .tree import price_with_initial_exchange, solve_tree
 
 __all__ = ["ImpactSolution", "solve_with_impact"]
 
@@ -31,7 +31,7 @@ def solve_with_impact(payoff: PayoffSpec, engine: str = "pde", grid=None,
     (tree.TreeConfig) to solve_tree as given; None takes the solver's default.
 
     At t = 0 the shifted and observed prices coincide (S_tilde0 = S0), so
-    the returned price is theta(0, q0, S0) read off the solved object.
+    the returned price is `price_with_initial_exchange` of the solved object.
     """
     if engine not in ("pde", "tree"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -39,4 +39,4 @@ def solve_with_impact(payoff: PayoffSpec, engine: str = "pde", grid=None,
         sol = solve_theta(payoff, grid, scheme)
     else:
         sol = solve_tree(payoff, config)
-    return ImpactSolution(sol, sol.price(0.0, payoff.contract.q0, payoff.market.S0))
+    return ImpactSolution(sol, price_with_initial_exchange(sol))

@@ -1,12 +1,11 @@
 """Inventory trading steps shared by the tree and the PDE trading substep:
 the whole-step trade ladder, its min-plus sweep and the cheaper-candidate update.
 
-A solve builds each volume's ladder once (the tree through
-`ladder_by_volume`, the PDE in its trade plan per volume): the ladder
-depends on the level only through V, and a level's m_cap scalar cost()
-calls would otherwise repeat at every level of a segment."""
+Each engine memoizes the ladder per volume for one solve (the tree directly,
+the PDE inside its trade plan): the ladder depends on the level only through
+V, and a level's m_cap scalar cost() calls would otherwise repeat at every
+level of a segment."""
 
-import functools
 import math
 
 import numpy as np
@@ -24,15 +23,6 @@ def trade_ladder(cost, rho_max, V, dt, dq, n_q):
     with _overflow_of("rho_max*V*dt/dq"):
         m_cap = min(math.floor(rho_max * V * dt / dq + 1e-9), n_q - 1)
     return [cost(w * dq / (V * dt)) for w in range(1, m_cap + 1)]
-
-
-def ladder_by_volume(cost, rho_max, dt, dq, n_q):
-    """trade_ladder as a function of V alone, each distinct V's ladder built
-    once and kept for the caller's lifetime (one solve); read-only tuples."""
-    @functools.cache
-    def ladder(V):
-        return tuple(trade_ladder(cost, rho_max, V, dt, dq, n_q))
-    return ladder
 
 
 def take_cheaper(cand, best, ctrl, value, mask=None):

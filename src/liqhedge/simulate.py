@@ -432,13 +432,13 @@ def run_policy_hedge(payoff: PayoffSpec, solution, cfg: PathConfig) -> PnLStats:
     return _stats("policy", steps, cfg, payoff, q_T, S_T, X, fees, keep=alive)
 
 
-def policy_trajectory(payoff: PayoffSpec, solution, S, q0: Optional[float] = None):
+def policy_trajectory(payoff: PayoffSpec, solution, S):
     """Inventory and speed schedules along one deterministic price path.
 
     S holds the prices at the decision dates (uniformly spaced over
     [0, T]); the solution's time grid must match. Returns (q, v) with
-    len(q) = len(S) and len(v) = len(S) - 1. Raises if the path leaves
-    the solution's hull.
+    len(q) = len(S), q[0] the contract's q0, and len(v) = len(S) - 1.
+    Raises if the path leaves the solution's hull.
     """
     S = np.asarray(S, dtype=float)
     steps = S.size - 1
@@ -446,7 +446,7 @@ def policy_trajectory(payoff: PayoffSpec, solution, S, q0: Optional[float] = Non
     _check_solution(solution, steps)
     q = np.empty(S.size)
     v = np.empty(steps)
-    q[0] = payoff.contract.q0 if q0 is None else q0
+    q[0] = payoff.contract.q0
     alive = np.ones(1, dtype=bool)
     for i in range(steps):
         vi = solution.policy_speeds(i, q[i:i + 1], S[i:i + 1], alive)

@@ -22,12 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cache
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .minplus import ladder_by_volume, shift_min
+from . import minplus
 from .model import _level_of, _overflow_of, _require_finite, _require_finite_values
+
+if TYPE_CHECKING:
+    from .pde import ThetaSurface
 
 __all__ = ["TreeConfig", "TreeValue", "solve_tree", "price_with_initial_exchange"]
 
@@ -228,7 +232,8 @@ def solve_tree(payoff, config: Optional[TreeConfig] = None, keep_values: bool = 
 
     # q*d of each branch's price move d, one column per branch
     q_up, q_mid, q_dn = (qgrid[:, None] * d for d in (drift + step, drift, drift - step))
-    ladder = ladder_by_volume(payoff.cost, m.rho_max, dt, dq, nq)
+    # each distinct V's ladder is built once and dies with the solve
+    ladder = cache(lambda V: minplus.trade_ladder(payoff.cost, m.rho_max, V, dt, dq, nq))
     bmult = None
 
     for j in range(J - 1, -1, -1):
@@ -258,7 +263,7 @@ def solve_tree(payoff, config: Optional[TreeConfig] = None, keep_values: bool = 
         # min-plus sweep over whole-step inventory shifts, each node searched
         # from its middle child's trade one level later
         guess = None if bmult is None else bmult[:, 1:-1]
-        best, bmult = shift_min(lse, [g * V * dt * rate for rate in ladder(V)], guess)
+        best, bmult = minplus.shift_min(lse, [g * V * dt * rate for rate in ladder(V)], guess)
         if growth != 0.0:
             best += g * growth * (qgrid[:, None] * tv.node_prices(j)[None, :])
         nxt = np.multiply(best, disc / gamma, out=best)
@@ -270,6 +275,6 @@ def solve_tree(payoff, config: Optional[TreeConfig] = None, keep_values: bool = 
     return tv
 
 
-def price_with_initial_exchange(tv: TreeValue) -> float:
-    """theta_0(q0, S0) at the contract's q0: the indifference price."""
+def price_with_initial_exchange(tv: TreeValue | ThetaSurface) -> float:
+    """theta_0(q0, S0) of either engine's solution: the indifference price."""
     return tv.price(0.0, tv.payoff.contract.q0, tv.payoff.market.S0)

@@ -243,8 +243,8 @@ def test_trajectory_smoothing_increases_with_execution_cost(reference_tree, eta_
 
 def test_trajectory_forgets_initial_inventory(reference_tree):
     t, S = reference_path()
-    q_low, _ = policy_trajectory(reference_payoff(), reference_tree, S, q0=0.0)
-    q_high, _ = policy_trajectory(reference_payoff(), reference_tree, S, q0=1e7)
+    q_low, _ = policy_trajectory(reference_payoff(q0=0.0), reference_tree, S)
+    q_high, _ = policy_trajectory(reference_payoff(q0=1e7), reference_tree, S)
     after = t >= 10.0
     assert np.abs(q_low - q_high)[after].max() <= 2.0 * reference_tree.dq
 

@@ -13,7 +13,9 @@ is also discretely convex in q. On both engines the price is at least the
 frictionless Bachelier price of the N calls, less two lattice steps per
 share. The tree's price per share does not depend on the nominal: the
 unit-nominal problem of `oracles.rescale_nominal`, solved with dq/N, gives
-it to rounding.
+it to rounding. Drawn with N = V = 2**20 instead, that rescaling is exact
+on both engines: every value level divided by N, and every control level
+(the PDE's speeds divided by N), equals the unit solve's bit for bit.
 
 Two PDE properties are left out. Its values[0] is not always convex in q
 on these problems: on some draws a second difference over q falls below
@@ -41,13 +43,14 @@ TREE = TreeConfig(dt=0.25, dq=1.25e4)
 
 
 @st.composite
-def problems(draw):
+def problems(draw, nominal=N):
+    """A problem with N = V = nominal and q0 a multiple of nominal/80."""
     contract = OptionContract(
-        K=draw(st.floats(40.0, 50.0)), T=float(draw(st.integers(2, 4))), N=N,
+        K=draw(st.floats(40.0, 50.0)), T=float(draw(st.integers(2, 4))), N=nominal,
         gamma=10 ** draw(st.floats(-7.0, -5.0)),
-        q0=1.25e4 * draw(st.integers(0, 80)),
+        q0=nominal / 80 * draw(st.integers(0, 80)),
         settlement=draw(st.sampled_from(["physical", "cash"])))
-    market = MarketParams(S0=45.0, sigma=draw(st.floats(0.2, 1.0)), volume=V,
+    market = MarketParams(S0=45.0, sigma=draw(st.floats(0.2, 1.0)), volume=nominal,
                           rho_max=draw(st.integers(10, 40)) / 20.0)
     cost = ExecutionCost(eta=draw(st.floats(0.02, 0.3)), phi=draw(st.floats(0.5, 1.0)))
     return PayoffSpec(contract, market, cost, penalty_rate=0.5)
@@ -123,3 +126,33 @@ def test_tree_price_per_share_invariant_under_rescaling(pay):
     tv = solve_tree(unit, dataclasses.replace(TREE, dq=TREE.dq / N))
     got = tv.price(0.0, contract.q0, market.S0)
     assert abs(got - per_share) <= 1e-12 * abs(per_share)
+
+
+def unit_nominal(pay):
+    contract, market = rescale_nominal(pay.contract, pay.market)
+    return dataclasses.replace(pay, contract=contract, market=market)
+
+
+@PROPERTY
+@given(pay=problems(nominal=2.0 ** 20))
+def test_tree_rescales_exactly_by_a_power_of_two(pay):
+    # every operation of the solve scales by 2**20 without rounding, so
+    # each value level and each control level keep their bits
+    n = pay.contract.N
+    full = solve_tree(pay, TreeConfig(dq=n / 80), keep_values=True)
+    unit = solve_tree(unit_nominal(pay), TreeConfig(dq=1 / 80), keep_values=True)
+    for j in range(full.J + 1):
+        assert np.array_equal(full.theta[j] / n, unit.theta[j])
+    for j in range(full.J):
+        assert np.array_equal(full.control_mult[j], unit.control_mult[j])
+
+
+@PROPERTY
+@given(pay=problems(nominal=2.0 ** 20))
+def test_pde_rescales_exactly_by_a_power_of_two(pay):
+    n = pay.contract.N
+    full, unit = (solve_theta(p, GridSpec.default(p, n_S=61, n_q=33, steps_per_day=4),
+                              keep_values=True) for p in (pay, unit_nominal(pay)))
+    assert np.array_equal(full.values / n, unit.values)
+    for level in range(full.grid.n_t + 1):
+        assert np.array_equal(full.control[level] / n, unit.control[level])

@@ -1,5 +1,5 @@
-"""Monte-Carlo harness tests: path generation, TWAP fills, the two hedging
-runners, and the discrete wealth-decomposition identity."""
+"""Monte-Carlo harness tests: path generation, TWAP fills and the two
+hedging runners."""
 
 import ctypes
 import math
@@ -28,7 +28,7 @@ from liqhedge.simulate import (
     _twap_matrix,
 )
 from liqhedge.tree import TreeConfig, solve_tree
-from oracles import reference_payoff, wealth_decomposition_check
+from oracles import reference_payoff
 
 
 def zero_penalty(q):
@@ -583,71 +583,3 @@ def test_tree_policy_speeds_is_the_point_read():
         want = np.array([tv.policy(tv.t_grid[j], qi, si) for qi, si in zip(q, S)])
         np.testing.assert_array_equal(v.view(np.uint64), want.view(np.uint64))
 
-
-# ---------------------------------------------------------------------------
-# wealth decomposition
-
-
-def test_wealth_identity_exact_when_not_trading():
-    # r = 0, sigma > 0: both sides telescope to the same sum
-    pay = reference_payoff(sigma=0.5, mu=0.01)
-    m, cost = pay.market, pay.cost
-    rng = np.random.default_rng(11)
-    n = 252
-    t = np.linspace(0.0, 63.0, n + 1)
-    dS = 0.01 * np.diff(t) + 0.5 * np.sqrt(np.diff(t)) * rng.standard_normal(n)
-    S = 45.0 + np.concatenate([[0.0], np.cumsum(dS)])
-    q = np.full(n + 1, 1e7)
-    assert wealth_decomposition_check(t, S, q, np.zeros(n), m, cost) == 0.0
-
-    # r > 0 with a frozen price: discounting is handled exactly
-    m2 = types.SimpleNamespace(r=0.02, mu=0.0, sigma=0.0,
-                               volume=VolumeCurve.constant(4e6))
-    S2 = np.full(n + 1, 45.0)
-    res = wealth_decomposition_check(t, S2, q, np.zeros(n), m2, cost, x0=3e6)
-    assert abs(res) < 1e-5
-
-    # a zero-volume interval that does not trade pays nothing (no 0/0)
-    gap = VolumeCurve([0, 4, 6], [4e6, 0, 4e6])
-    m3 = reference_payoff(sigma=0.5, volume=gap, mu=0.01).market
-    t8 = np.linspace(0.0, 8.0, 17)
-    S8 = 45.0 + np.concatenate([[0.0], np.cumsum(rng.standard_normal(16))])
-    q8 = np.full(17, 1e7)
-    assert wealth_decomposition_check(t8, S8, q8, np.zeros(16), m3, cost) == 0.0
-
-
-@pytest.mark.parametrize("seed, ratio", [(7, 0.6), (21, 0.65), (99, 0.65)])
-def test_wealth_identity_residual_linear_in_dt(seed, ratio):
-    pay = reference_payoff(mu=0.01, r=2e-4)
-    m, cost = pay.market, pay.cost
-    n_fine, T = 512, 63.0
-    rng = np.random.default_rng(seed)
-    W = np.concatenate([[0.0], np.cumsum(
-        math.sqrt(T / n_fine) * rng.standard_normal(n_fine))])
-    t_fine = np.linspace(0.0, T, n_fine + 1)
-    S_fine = 45.0 + 0.01 * t_fine + 0.6 * W
-
-    residuals = []
-    for lev in (64, 128, 256, 512):
-        stride = n_fine // lev
-        t, S = t_fine[::stride], S_fine[::stride]
-        v = np.full(lev, -1e7 / T)  # linear liquidation of q0
-        q = 1e7 + np.concatenate([[0.0], np.cumsum(v * np.diff(t))])
-        residuals.append(abs(wealth_decomposition_check(t, S, q, v, m, cost)))
-    # halving dt halves the residual on the same Brownian path
-    for coarse, fine in zip(residuals, residuals[1:]):
-        assert fine < ratio * coarse, residuals
-
-
-def test_wealth_identity_validates_inputs():
-    pay = reference_payoff(sigma=0.5)
-    m, cost = pay.market, pay.cost
-    t = np.linspace(0.0, 10.0, 6)
-    S = np.full(6, 45.0)
-    q = np.full(6, 1e6)
-    with pytest.raises(ValueError, match=r"need len\(S\) = len\(q\)"):
-        wealth_decomposition_check(t, S, q, np.zeros(4), m, cost)
-    jump = q.copy()
-    jump[3] += 5e5
-    with pytest.raises(ValueError, match="inconsistent with the speed schedule"):
-        wealth_decomposition_check(t, S, jump, np.zeros(5), m, cost)
