@@ -1,6 +1,6 @@
 """Every name a module lists in __all__ exists, so star imports work; the
 README names every name the package exports; and scipy is loaded only by
-the work that calls it, scipy.stats by none."""
+the work that calls it."""
 
 import importlib
 import json
@@ -34,8 +34,7 @@ def test_readme_names_every_export():
 
 # Each stage prints which of scipy.linalg and scipy.special are loaded; the
 # tree engine needs neither, the PDE's step A needs scipy.linalg and the
-# Bachelier functions scipy.special. No work needs scipy.stats, which alone
-# more than doubles the import time.
+# Bachelier functions scipy.special.
 SCIPY_STAGES = """
 import sys
 import liqhedge, liqhedge.cli
@@ -54,7 +53,6 @@ solve_theta(cfg.payoff, GridSpec.default(cfg.payoff, n_S=31, n_q=11, steps_per_d
 stage()
 bachelier_delta(45.0, 45.0, 0.6, 63.0)
 stage()
-print("scipy.stats" in sys.modules)
 """
 
 
@@ -68,4 +66,4 @@ def test_scipy_loads_only_where_it_is_used(tmp_path):
     out = subprocess.run([sys.executable, "-c", SCIPY_STAGES, str(path),
                           str(tmp_path / "price.json")],
                          env=env, check=True, capture_output=True, text=True)
-    assert out.stdout.splitlines() == ["False False", "True False", "True True", "False"]
+    assert out.stdout.splitlines() == ["False False", "True False", "True True"]
